@@ -15,9 +15,7 @@ import numpy as np
 
 from rcaspace.cli import RunConfig, cmd_report
 from rcaspace.demo import write_demo_dataset
-from rcaspace.ingest import FIELD_LABELS, parse_production_csv, resolve_labels
-from rcaspace.ingest import load_manifest
-from rcaspace.report import analyze_index, correlation_pairs
+from rcaspace.report import correlation_pairs
 
 
 def main() -> int:
@@ -37,18 +35,11 @@ def main() -> int:
         threshold=args.threshold,
         formats=("json", "svg", "graphml"),
     )
-    cmd_report(cfg)
-
-    manifest = load_manifest(manifest_path)
-    analyses = [
-        analyze_index(
-            resolve_labels(parse_production_csv(e.resolved, e.index), FIELD_LABELS)
-        )
-        for e in manifest.tables
-    ]
+    data = cmd_report(cfg)
+    analyses = data.analyses
 
     print()
-    print(f"dataset: {manifest.dataset_name} ({manifest.period})")
+    print(f"dataset: {data.dataset_name} ({data.period})")
     print(f"{'index':24s}  {'median RCA':>10s}  {'mean RCA':>9s}  skew")
     for a in analyses:
         print(
@@ -62,8 +53,9 @@ def main() -> int:
         print(f"  {pair['a']} ~ {pair['b']}: r = {pair['r']:+.3f}")
 
     docs = analyses[0]
-    div_order = np.argsort(docs.diversity)[::-1][: args.top]
-    ubi_order = np.argsort(docs.ubiquity)[::-1][: args.top]
+    # aligned rows and columns are in name order; stable sorting breaks ties by name
+    div_order = np.argsort(-docs.diversity, kind="stable")[: args.top]
+    ubi_order = np.argsort(-docs.ubiquity, kind="stable")[: args.top]
     print()
     print(f"most diverse countries ({docs.kind.value}):")
     for i in div_order:

@@ -16,31 +16,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
+from rcaspace.cli import RunConfig, _load_dataset, _proximity_network
 from rcaspace.demo import write_demo_dataset
-from rcaspace.ingest import (
-    FIELD_LABELS,
-    IndexKind,
-    load_manifest,
-    parse_production_csv,
-    resolve_labels,
-)
-from rcaspace.netexport import backbone
-from rcaspace.proximity import country_proximity, field_proximity
-from rcaspace.report import analyze_index
-
-
-def component_count(nodes, edges):
-    parent = {n: n for n in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b, _ in edges:
-        parent[find(a)] = find(b)
-    return len({find(n) for n in nodes})
+from rcaspace.errors import DataError
+from rcaspace.ingest import IndexKind
+from rcaspace.netexport import _UnionFind, backbone
 
 
 def main() -> int:
@@ -54,31 +34,27 @@ def main() -> int:
                         help="number of evenly spaced thresholds in [0, 1]")
     args = parser.parse_args()
 
-    manifest_path = args.manifest
-    if manifest_path is None:
-        manifest_path = write_demo_dataset(
-            Path(tempfile.mkdtemp(prefix="rcaspace-sweep-")) / "data"
-        )
-    manifest = load_manifest(manifest_path)
-    kind = IndexKind.parse(args.index)
-    entry = next((e for e in manifest.tables if e.index is kind), None)
-    if entry is None:
-        print(f"error: manifest has no {kind.value} table", file=sys.stderr)
-        return 3
-
-    table = resolve_labels(parse_production_csv(entry.resolved, kind), FIELD_LABELS)
-    analysis = analyze_index(table)
-    if args.mode == "fields":
-        net = field_proximity(analysis.advantage, table.field_totals())
-    else:
-        net = country_proximity(analysis.advantage, table.country_totals())
+    with tempfile.TemporaryDirectory(prefix="rcaspace-sweep-") as scratch:
+        manifest = args.manifest or write_demo_dataset(Path(scratch) / "data")
+        cfg = RunConfig(manifest=manifest, out=Path(scratch),
+                        indexes=(IndexKind.parse(args.index),))
+        try:
+            data = _load_dataset(cfg)
+        except DataError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+    for message in data.warnings:
+        print(f"warning: {message}", file=sys.stderr)
+    (analysis,) = data.analyses
+    net = _proximity_network(analysis, args.mode)
 
     n = len(net.nodes)
-    print(f"{args.mode} network of {manifest.dataset_name} / {kind.value}: {n} nodes")
+    print(f"{args.mode} network of {data.dataset_name} / {analysis.kind.value}: {n} nodes")
     print(f"{'threshold':>9s}  {'edges':>5s}  {'components':>10s}  {'mean degree':>11s}")
     for threshold in np.linspace(0.0, 1.0, args.steps):
         edges = backbone(net, float(round(threshold, 6)))
-        comps = component_count(net.nodes, edges)
+        forest = _UnionFind(net.nodes)
+        comps = n - sum(forest.union(a, b) for a, b, _ in edges)
         mean_degree = 2 * len(edges) / n if n else 0.0
         print(f"{threshold:9.2f}  {len(edges):5d}  {comps:10d}  {mean_degree:11.2f}")
     return 0

@@ -228,7 +228,7 @@ def cmd_stats(cfg: RunConfig) -> None:
     _echo_written(cfg.out, ["stats.json", "stats.txt"], data.warnings)
 
 
-def cmd_report(cfg: RunConfig) -> None:
+def cmd_report(cfg: RunConfig) -> _LoadedDataset:
     data = _load_dataset(cfg)
     written = _write_rca_csvs(cfg, data)
     proximity_files: list[str] = []
@@ -240,6 +240,7 @@ def cmd_report(cfg: RunConfig) -> None:
     _write_text(cfg.out / "report.json", report.to_json())
     _write_text(cfg.out / "report.txt", report.to_text())
     _echo_written(cfg.out, written + ["report.json", "report.txt"], data.warnings)
+    return data
 
 
 def cmd_demo(args: argparse.Namespace) -> None:

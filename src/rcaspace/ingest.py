@@ -2,25 +2,29 @@
 
 The canonical input is a long-form CSV with a mandatory ``country,field,value``
 header (UTF-8, comma separated, double-quoted fields allowed), one file per
-production index.  A wide-matrix reader is provided as a convenience and is
-converted to the same internal representation.  Name matching is exact after
-Unicode NFC normalization and surrounding-whitespace trim; there is no fuzzy
-matching, silent merges being worse than warnings.
+production index.  A wide-matrix reader is provided as a convenience; both
+readers feed the same cell validation and table build.  Name matching is
+exact after Unicode NFC normalization and surrounding-whitespace trim; there
+is no fuzzy matching, silent merges being worse than warnings.
 
 Absent (country, field) cells are materialized as zeros so that downstream
 world-share denominators are complete sums.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
+import functools
 import io
+import itertools
 import json
+import math
 import unicodedata
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Callable, ContextManager, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -64,21 +68,20 @@ class LabelRegistry:
     entries: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        names = [name for name, _ in self.entries]
-        labels = [label for _, label in self.entries]
-        if len(set(names)) != len(names):
+        label_of = dict(self.entries)
+        labels = frozenset(label_of.values())
+        if len(label_of) != len(self.entries):
             raise DataError("label registry: duplicate full names")
-        if len(set(labels)) != len(labels):
+        if len(labels) != len(self.entries):
             raise DataError("label registry: duplicate labels")
+        object.__setattr__(self, "_label_of", label_of)
+        object.__setattr__(self, "_labels", labels)
 
     def label_for(self, full_name: str) -> str | None:
-        for name, label in self.entries:
-            if name == full_name:
-                return label
-        return None
+        return self._label_of.get(full_name)
 
     def is_label(self, text: str) -> bool:
-        return any(label == text for _, label in self.entries)
+        return text in self._labels
 
 
 #: The 27 canonical fields of knowledge of the SCImago country/journal rank
@@ -168,31 +171,116 @@ class ProductionTable:
         return float(self.values.sum())
 
 
-def _as_text_stream(source: Source) -> tuple[IO[str], bool]:
-    """Text stream plus whether the caller owns (and must close) it."""
+def _open_text(source: Source) -> ContextManager[IO[str]]:
+    """``source`` as a text stream; leaving the context closes only what was opened."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
+        return open(source, "r", encoding="utf-8", newline="")
     if isinstance(source, io.TextIOBase):
-        return source, False
+        return contextlib.nullcontext(source)
     data = source.read()
     if isinstance(data, bytes):
         try:
-            return io.StringIO(data.decode("utf-8")), False
+            return io.StringIO(data.decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise DataError(f"input is not valid UTF-8: {exc}") from None
-    return io.StringIO(data), False
+    return io.StringIO(data)
+
+
+_Rows = Iterator[tuple[int, list[str]]]
+_Cells = Iterator[tuple[int, str, str, str]]
+
+
+def _csv_rows(stream: IO[str]) -> _Rows:
+    """``(file line, row)`` for each non-blank row; csv errors become DataError."""
+    reader = csv.reader(stream)
+    try:
+        for row in reader:
+            if "".join(row).strip():
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
+
+
+def _table_from_cells(cells: Iterable[tuple[int, str, str, str]],
+                      index_kind: IndexKind) -> ProductionTable:
+    """Build a table from ``(line, country, field, value text)`` cells.
+
+    Row and column orders follow first appearance; absent cells become zeros.
+    """
+    normalize = functools.lru_cache(maxsize=None)(normalize_name)  # once per spelling
+    countries: dict[str, int] = {}
+    fields: dict[str, int] = {}
+    first_line: dict[tuple[int, int], int] = {}  # (row, column) -> line, in value order
+    values: list[float] = []
+    for line, country, field, text in cells:
+        country, field = normalize(country), normalize(field)
+        if not country:
+            raise DataError(f"empty country name at line {line}")
+        if not field:
+            raise DataError(f"empty field name at line {line}")
+        value = _parse_value(text, line)
+        key = (countries.setdefault(country, len(countries)),
+               fields.setdefault(field, len(fields)))
+        if key in first_line:
+            raise DataError(
+                f"duplicate cell ({country}, {field}) at line {line} "
+                f"(first at line {first_line[key]})"
+            )
+        first_line[key] = line
+        values.append(value)
+
+    if not values:
+        raise DataError("no data rows")
+    matrix = np.zeros((len(countries), len(fields)))
+    matrix[tuple(zip(*first_line))] = values
+    return ProductionTable(index_kind, tuple(countries), tuple(fields), matrix)
 
 
 def _parse_value(text: str, line: int) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise DataError(f"non-numeric value {text!r} at line {line}") from None
-    if not np.isfinite(value):
-        raise DataError(f"non-finite value {text!r} at line {line}")
-    if value < 0:
-        raise DataError(f"negative value at line {line}")
-    return value
+        raise DataError(f"non-numeric value {text.strip()!r} at line {line}") from None
+    if 0.0 <= value < math.inf:
+        return value
+    if not math.isfinite(value):
+        raise DataError(f"non-finite value {text.strip()!r} at line {line}")
+    raise DataError(f"negative value at line {line}")
+
+
+def _read_table(source: Source, index_kind: IndexKind,
+                cells_of: Callable[[_Rows], _Cells]) -> ProductionTable:
+    with _open_text(source) as stream:
+        return _table_from_cells(cells_of(_csv_rows(stream)), index_kind)
+
+
+def _long_cells(rows: _Rows) -> _Cells:
+    _, header = next(rows, (0, None))
+    if header is None:
+        raise DataError("empty file: missing country,field,value header")
+    if [h.strip().lower() for h in header] != ["country", "field", "value"]:
+        raise DataError(
+            f"invalid header {header!r}: expected country,field,value"
+        )
+    for line, row in rows:
+        if len(row) != 3:
+            raise DataError(f"expected 3 columns, got {len(row)} at line {line}")
+        yield line, row[0], row[1], row[2]
+
+
+def _wide_cells(rows: _Rows) -> _Cells:
+    header_line, header = next(rows, (0, None))
+    if header is None or len(header) < 2 or header[0].strip().lower() != "country":
+        raise DataError("invalid wide header: expected country,<field>,...")
+    if not all(normalize_name(name) for name in header[1:]):
+        raise DataError(f"empty field name at line {header_line}")
+    for line, row in rows:
+        if len(row) != len(header):
+            raise DataError(
+                f"expected {len(header)} columns, got {len(row)} at line {line}"
+            )
+        for field, text in zip(header[1:], row[1:]):
+            yield line, row[0], field, text if text.strip() else "0"
 
 
 def parse_production_csv(source: Source, index_kind: IndexKind) -> ProductionTable:
@@ -202,105 +290,16 @@ def parse_production_csv(source: Source, index_kind: IndexKind) -> ProductionTab
     (country, field) rows are an error; pairs absent from the file become
     zero cells.  Every error message carries the offending line number.
     """
-    stream, owned = _as_text_stream(source)
-    try:
-        return _parse_long_rows(stream, index_kind)
-    finally:
-        if owned:
-            stream.close()
-
-
-def _parse_long_rows(stream: IO[str], index_kind: IndexKind) -> ProductionTable:
-    reader = csv.reader(stream)
-    try:
-        header = next(reader, None)
-    except csv.Error as exc:
-        raise DataError(f"malformed CSV at line 1: {exc}") from None
-    if header is None:
-        raise DataError("empty file: missing country,field,value header")
-    if [h.strip().lower() for h in header] != ["country", "field", "value"]:
-        raise DataError(
-            f"invalid header {header!r}: expected country,field,value"
-        )
-
-    countries: dict[str, int] = {}
-    fields: dict[str, int] = {}
-    cells: dict[tuple[int, int], float] = {}
-    seen_line: dict[tuple[int, int], int] = {}
-    while True:
-        try:
-            row = next(reader, None)
-        except csv.Error as exc:
-            raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
-        if row is None:
-            break
-        line = reader.line_num
-        if not row or all(not cell.strip() for cell in row):
-            continue  # skip blank lines
-        if len(row) != 3:
-            raise DataError(f"expected 3 columns, got {len(row)} at line {line}")
-        country = normalize_name(row[0])
-        field = normalize_name(row[1])
-        if not country:
-            raise DataError(f"empty country name at line {line}")
-        if not field:
-            raise DataError(f"empty field name at line {line}")
-        value = _parse_value(row[2].strip(), line)
-        ci = countries.setdefault(country, len(countries))
-        fi = fields.setdefault(field, len(fields))
-        key = (ci, fi)
-        if key in cells:
-            raise DataError(
-                f"duplicate cell ({country}, {field}) at line {line} "
-                f"(first at line {seen_line[key]})"
-            )
-        cells[key] = value
-        seen_line[key] = line
-
-    if not cells:
-        raise DataError("no data rows")
-    values = np.zeros((len(countries), len(fields)))
-    for (ci, fi), value in cells.items():
-        values[ci, fi] = value
-    return ProductionTable(index_kind, tuple(countries), tuple(fields), values)
+    return _read_table(source, index_kind, _long_cells)
 
 
 def parse_production_wide_csv(source: Source, index_kind: IndexKind) -> ProductionTable:
     """Parse a wide matrix CSV (header: country,<field>,...; one row per country).
 
-    Blank cells become zeros.  Converted to the long representation internally
-    so the validation rules match :func:`parse_production_csv`.
+    Blank cells become zeros.  The cells go through the same validation as
+    :func:`parse_production_csv`, and errors name the line of the file.
     """
-    stream, owned = _as_text_stream(source)
-    try:
-        return _parse_wide_rows(stream, index_kind)
-    finally:
-        if owned:
-            stream.close()
-
-
-def _parse_wide_rows(stream: IO[str], index_kind: IndexKind) -> ProductionTable:
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None or len(header) < 2:
-        raise DataError("invalid wide header: expected country,<field>,...")
-    long_rows = ["country,field,value"]
-    field_names = [normalize_name(h) for h in header[1:]]
-    for row in reader:
-        line = reader.line_num
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise DataError(
-                f"expected {len(header)} columns, got {len(row)} at line {line}"
-            )
-        country = normalize_name(row[0])
-        for field, cell in zip(field_names, row[1:]):
-            text = cell.strip() or "0"
-            long_rows.append(
-                ",".join((_csv_quote(country), _csv_quote(field), text))
-            )
-    return parse_production_csv(io.StringIO("\n".join(long_rows) + "\n"), index_kind)
+    return _read_table(source, index_kind, _wide_cells)
 
 
 def resolve_labels(table: ProductionTable, registry: LabelRegistry = FIELD_LABELS) -> ProductionTable:
@@ -356,6 +355,21 @@ def _csv_quote(text: str) -> str:
     return text
 
 
+def _long_csv_text(header: str, names_a: Sequence[str], names_b: Sequence[str],
+                   pairs: Iterable[tuple[int, int]], values: Iterable[str]) -> str:
+    """The codec's only CSV writer: ``header``, then ``a,b,value`` per pair.
+
+    ``pairs`` index into ``names_a`` and ``names_b``; ``values`` come
+    formatted.  Each name is quoted once.
+    """
+    quoted_a = [_csv_quote(name) for name in names_a]
+    quoted_b = quoted_a if names_b is names_a else [_csv_quote(name) for name in names_b]
+    lines = [header]
+    lines.extend(f"{quoted_a[i]},{quoted_b[j]},{v}" for (i, j), v in zip(pairs, values))
+    lines.append("")
+    return "\n".join(lines)
+
+
 def _format_cell(value) -> str:
     if float(value).is_integer():
         return str(int(value))
@@ -366,17 +380,17 @@ def matrix_csv_text(countries: Iterable[str], fields: Iterable[str], values: np.
     """Serialize any country x field matrix to the long CSV form.
 
     All cells are written (zeros included) so that parsing the output
-    reconstructs the exact same matrix; float cells use repr and therefore
-    round-trip bit-exactly.
+    reconstructs the exact same matrix; integral cells are written as
+    integers, the others with repr, so they round-trip bit-exactly.
     """
-    fields = tuple(fields)
-    lines = ["country,field,value"]
-    for i, country in enumerate(countries):
-        for j, field in enumerate(fields):
-            lines.append(
-                ",".join((_csv_quote(country), _csv_quote(field), _format_cell(values[i, j])))
-            )
-    return "\n".join(lines) + "\n"
+    countries, fields = tuple(countries), tuple(fields)
+    return _long_csv_text(
+        "country,field,value",
+        countries,
+        fields,
+        itertools.product(range(len(countries)), range(len(fields))),
+        [_format_cell(v) for v in np.asarray(values).ravel().tolist()],
+    )
 
 
 def production_csv_text(table: ProductionTable) -> str:

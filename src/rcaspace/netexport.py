@@ -23,6 +23,7 @@ from xml.sax.saxutils import escape, quoteattr
 import numpy as np
 
 from .errors import DataError
+from .ingest import _long_csv_text
 from .proximity import ProximityNetwork
 
 FORMATS = ("dot", "graphml", "json", "csv", "svg")
@@ -220,12 +221,14 @@ def layout_from_json(data: bytes | str) -> NetworkLayout:
 
 
 def _emit_csv(layout: NetworkLayout) -> str:
-    from .ingest import _csv_quote
-
-    lines = ["node_a,node_b,weight"]
-    for a, b, w in layout.edges:
-        lines.append(",".join((_csv_quote(a), _csv_quote(b), repr(float(w)))))
-    return "\n".join(lines) + "\n"
+    index = {name: i for i, name in enumerate(layout.nodes)}
+    return _long_csv_text(
+        "node_a,node_b,weight",
+        layout.nodes,
+        layout.nodes,
+        [(index[a], index[b]) for a, b, _ in layout.edges],
+        [repr(float(w)) for _, _, w in layout.edges],
+    )
 
 
 def _dot_quote(name: str) -> str:

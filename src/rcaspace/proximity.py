@@ -14,11 +14,13 @@ self-loops are excluded from node strength and from exports.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
+from .ingest import _long_csv_text
 from .rca import AdvantageMatrix, diversity, ubiquity
 
 MODES = ("fields", "countries")
@@ -100,16 +102,12 @@ def proximity_csv_text(net: ProximityNetwork) -> str:
     Every unordered pair appears once with a < b lexicographically, zero
     weights included, so the matrix can be reconstructed from the file.
     """
-    from .ingest import _csv_quote  # local import to avoid cycle at module load
-
-    order = sorted(range(len(net.nodes)), key=lambda i: net.nodes[i])
-    lines = ["node_a,node_b,weight"]
-    for pos_a, i in enumerate(order):
-        for j in order[pos_a + 1:]:
-            weight = float(net.weights[i, j])
-            lines.append(
-                ",".join(
-                    (_csv_quote(net.nodes[i]), _csv_quote(net.nodes[j]), repr(weight))
-                )
-            )
-    return "\n".join(lines) + "\n"
+    order = sorted(range(len(net.nodes)), key=net.nodes.__getitem__)
+    by_name = net.weights[np.ix_(order, order)]
+    return _long_csv_text(
+        "node_a,node_b,weight",
+        net.nodes,
+        net.nodes,
+        itertools.combinations(order, 2),
+        [repr(float(w)) for w in by_name[np.triu_indices(len(order), 1)].tolist()],
+    )

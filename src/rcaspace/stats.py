@@ -91,14 +91,16 @@ def summarize(values: Iterable[float], quartile_rule: str = "linear") -> Distrib
     if not np.all(np.isfinite(arr)):
         raise DataError("distribution contains a non-finite value")
     q1, median, q3 = np.quantile(arr, [0.25, 0.5, 0.75], method=quartile_rule)
+    minimum, maximum = float(arr.min()), float(arr.max())
     return DistributionSummary(
         n=int(arr.size),
-        minimum=float(arr.min()),
+        minimum=minimum,
         q1=float(q1),
         median=float(median),
-        mean=float(arr.mean()),
+        # rounding can put the mean of equal values one ulp outside them
+        mean=min(max(float(arr.mean()), minimum), maximum),
         q3=float(q3),
-        maximum=float(arr.max()),
+        maximum=maximum,
     )
 
 

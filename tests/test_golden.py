@@ -1,0 +1,113 @@
+"""Byte-identity gate for every text artifact.
+
+Any change to a written byte (quoting, value format, row order, header)
+changes a digest.  Regenerate them only for a deliberate, documented format
+change.
+"""
+import dataclasses
+import hashlib
+import io
+
+import numpy as np
+
+from rcaspace import IndexKind
+from rcaspace.cli import main
+from rcaspace.ingest import (
+    matrix_csv_text,
+    parse_production_csv,
+    parse_production_wide_csv,
+    production_csv_text,
+)
+from rcaspace.netexport import FORMATS, build_layout, emit
+from rcaspace.proximity import (
+    ProximityNetwork,
+    country_proximity,
+    field_proximity,
+    proximity_csv_text,
+)
+from rcaspace.rca import compute_rca, threshold_advantage
+
+DEMO_TREE_SHA256 = "c197f13e36700362087234eb488a5d21d1d8fa6a7abd81cee17c84b4f1da4432"
+TINY_SHA256 = "d310f9c440ec59e4c906d9e0f3a9bc76b0203d7775fc3c2afb041c5e48de24fa"
+
+# Names that need CSV quoting (comma, double quote) and NFC normalization
+# (the accents are written decomposed and must come out composed).
+LONG_CSV = (
+    "country,field,value\n"
+    "\"The \"\"Quoted\"\" Republic\",\"Economics, Econometrics and Finance\",3\n"
+    "\"The \"\"Quoted\"\" Republic\",Mathematics,0.1\n"
+    "Co\u0302te d'Ivoire,\"Economics, Econometrics and Finance\",0\n"
+    "Co\u0302te d'Ivoire,Me\u0301decine,12.5\n"
+    "Co\u0302te d'Ivoire,Mathematics,7\n"
+    "Plain,Me\u0301decine,2\n"
+    "Plain,Mathematics,5\n"
+    "Plain,\"Say \"\"when\"\"\",4\n"
+    "\"The \"\"Quoted\"\" Republic\",\"Say \"\"when\"\"\",6e0\n"
+)
+WIDE_CSV = (
+    "country,\"Economics, Econometrics and Finance\",Mathematics,Me\u0301decine,"
+    "\"Say \"\"when\"\"\"\n"
+    "\"The \"\"Quoted\"\" Republic\",3,0.1,,6\n"
+    "Co\u0302te d'Ivoire,0,7,12.5,\n"
+    "Plain,,5,2,4\n"
+)
+
+
+def _tree_digest(root):
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
+def test_demo_tree_all_formats(tmp_path, capsys):
+    argv = ["demo", "--out", str(tmp_path)]
+    for fmt in FORMATS:
+        argv += ["--format", fmt]
+    assert main(argv) == 0
+    assert _tree_digest(tmp_path) == DEMO_TREE_SHA256
+
+
+def _tiny_artifacts(table):
+    rca = compute_rca(table)
+    adv = threshold_advantage(rca)
+    parts = [
+        production_csv_text(table),
+        matrix_csv_text(rca.countries, rca.fields, rca.values),
+        matrix_csv_text(adv.countries, adv.fields, adv.m.astype(int)),
+    ]
+    for net in (
+        field_proximity(adv, table.field_totals()),
+        country_proximity(adv, table.country_totals()),
+    ):
+        parts.append(proximity_csv_text(net))
+        parts.append(emit(build_layout(net, 0.5), "csv").decode("utf-8"))
+    return "\x1e".join(parts).encode("utf-8")
+
+
+def test_tiny_quoting_and_nfc():
+    long = parse_production_csv(io.StringIO(LONG_CSV), IndexKind.DOCUMENTS)
+    wide = parse_production_wide_csv(io.StringIO(WIDE_CSV), IndexKind.DOCUMENTS)
+    assert "C\u00f4te d'Ivoire" in long.countries
+    assert wide == long
+    assert hashlib.sha256(_tiny_artifacts(long)).hexdigest() == TINY_SHA256
+
+
+def test_writers_keep_exact_values():
+    # An int64 above 2**53 is written exactly, and -0.0 stays apart from 0.0
+    # in weights.  The expected texts are those of the previous writers.
+    big = np.array([[2**53 + 1], [0]], dtype=np.int64)
+    assert matrix_csv_text(["A", "B,x"], ["M"], big) == (
+        'country,field,value\nA,M,9007199254740993\n"B,x",M,0\n'
+    )
+    net = ProximityNetwork(
+        "fields", ("b", "a", "c"),
+        np.array([[1.0, -0.0, 0.0], [-0.0, 1.0, 0.5], [0.0, 0.5, 1.0]]),
+        np.array([0.0, 0.5, 0.5]), np.array([1.0, 1.0, 1.0]),
+    )
+    assert proximity_csv_text(net) == "node_a,node_b,weight\na,b,-0.0\na,c,0.5\nb,c,0.0\n"
+    layout = dataclasses.replace(
+        build_layout(net, 0.0), edges=(("a", "b", -0.0), ("a", "c", 0.0))
+    )
+    assert emit(layout, "csv") == b"node_a,node_b,weight\na,b,-0.0\na,c,0.0\n"

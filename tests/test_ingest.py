@@ -158,6 +158,25 @@ class TestWideCsv:
                 io.StringIO("country,Mth\nA,-1\n"), IndexKind.DOCUMENTS
             )
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("country,Mth,Chm\nA,1,2\nB,x,3\n", "non-numeric value 'x' at line 3"),
+            ("country,Mth\nA,1\n\nB,1,2\n", "got 3 at line 4"),
+            ("country,Mth\nA," + "1" * 200_000 + "\n", "malformed CSV at line 2"),
+            ("nation,Mth\nA,1\n", "invalid wide header"),
+            ("country,Mth,\nA,1,2\n", "empty field name at line 1"),
+            ("country,Mth\nA,1\nA,2\n", r"line 3 \(first at line 2\)"),
+        ],
+        ids=[
+            "bad-cell", "ragged-after-blank", "oversized-field", "bad-header",
+            "empty-field-name", "duplicate",
+        ],
+    )
+    def test_errors_name_file_lines(self, text, message):
+        with pytest.raises(DataError, match=message):
+            parse_production_wide_csv(io.StringIO(text), IndexKind.DOCUMENTS)
+
 
 class TestResolveLabels:
     def test_full_names_replaced(self):

@@ -1,0 +1,113 @@
+"""End-to-end runs of the scripts on the bundled demo dataset.
+
+The scripts load data through the CLI's pipeline assembly
+(``cli._load_dataset``), so their numbers must match the CLI's.  Tied
+entries of run_demo's top-k lists print in name order.
+"""
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+DEMO_SUMMARY = """\
+dataset: rcaspace-demo (1996-2011)
+index                     median RCA   mean RCA  skew
+documents                      0.747      1.001  right-skewed
+citations                      0.755      1.001  right-skewed
+self_citations                 0.831      1.000  right-skewed
+citations_per_document         0.777      1.000  right-skewed
+h_index                        0.874      0.999  symmetric
+
+cross-index Pearson correlations of RCA values:
+  documents ~ citations: r = -0.230
+  documents ~ self_citations: r = -0.015
+  documents ~ citations_per_document: r = +0.035
+  documents ~ h_index: r = -0.270
+  citations ~ self_citations: r = -0.106
+  citations ~ citations_per_document: r = -0.031
+  citations ~ h_index: r = +0.051
+  self_citations ~ citations_per_document: r = -0.181
+  self_citations ~ h_index: r = -0.003
+  citations_per_document ~ h_index: r = -0.111
+
+most diverse countries (documents):
+  Drumstan          Div = 12
+  Genovia           Div = 12
+  Krakozhia         Div = 12
+  Arcadia           Div = 11
+  Hyrkania          Div = 11
+most ubiquitous fields (documents):
+  Ert-PlnScn        Ubi = 7
+  CmpScn            Ubi = 6
+  DcsSci            Ubi = 6
+  Enr               Ubi = 6
+  Mdc               Ubi = 6
+"""
+
+SWEEP_FIELDS_DOCUMENTS = """\
+fields network of rcaspace-demo / documents: 27 nodes
+threshold  edges  components  mean degree
+     0.00    309           1        22.89
+     0.10    309           1        22.89
+     0.20    289           1        21.41
+     0.30    195           1        14.44
+     0.40    161           1        11.93
+     0.50     91           1         6.74
+     0.60     49           1         3.63
+     0.70     27           1         2.00
+     0.80     26           1         1.93
+     0.90     26           1         1.93
+     1.00     26           1         1.93
+"""
+
+SWEEP_COUNTRIES_CITATIONS = """\
+countries network of rcaspace-demo / citations: 12 nodes
+threshold  edges  components  mean degree
+     0.00     66           1        11.00
+     0.25     57           1         9.50
+     0.50     15           1         2.50
+     0.75     11           1         1.83
+     1.00     11           1         1.83
+"""
+
+
+def run_script(name, *args, code=0):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    return proc
+
+
+def test_run_demo(tmp_path):
+    stdout = run_script("run_demo.py", "--out", str(tmp_path)).stdout
+    listed, summary = stdout.split("\n\n", 1)
+    analysis = tmp_path / "analysis"
+    assert sorted(listed.splitlines()) == sorted(str(p) for p in analysis.iterdir())
+    assert summary == DEMO_SUMMARY + f"\nartifacts: {analysis}\n"
+
+
+def test_threshold_sweep_fields():
+    assert run_script("threshold_sweep.py").stdout == SWEEP_FIELDS_DOCUMENTS
+
+
+def test_threshold_sweep_countries():
+    proc = run_script(
+        "threshold_sweep.py", "--mode", "countries", "--index", "citations", "--steps", "5"
+    )
+    assert proc.stdout == SWEEP_COUNTRIES_CITATIONS
+
+
+def test_threshold_sweep_missing_index(tmp_path):
+    (tmp_path / "documents.csv").write_text("country,field,value\nA,Mth,1\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        '{"dataset_name": "tiny", "period": "2000",'
+        ' "tables": [{"index": "documents", "path": "documents.csv"}]}'
+    )
+    proc = run_script(
+        "threshold_sweep.py", "--manifest", str(manifest), "--index", "h_index", code=3
+    )
+    assert "h_index" in proc.stderr and proc.stdout == ""
