@@ -20,7 +20,7 @@ from rcaspace.cli import RunConfig, _load_dataset, _proximity_network
 from rcaspace.demo import write_demo_dataset
 from rcaspace.errors import DataError
 from rcaspace.ingest import IndexKind
-from rcaspace.netexport import _UnionFind, backbone
+from rcaspace.netexport import backbone, spanning_forest
 
 
 def main() -> int:
@@ -49,12 +49,13 @@ def main() -> int:
     net = _proximity_network(analysis, args.mode)
 
     n = len(net.nodes)
+    index = {name: i for i, name in enumerate(net.nodes)}
     print(f"{args.mode} network of {data.dataset_name} / {analysis.kind.value}: {n} nodes")
     print(f"{'threshold':>9s}  {'edges':>5s}  {'components':>10s}  {'mean degree':>11s}")
     for threshold in np.linspace(0.0, 1.0, args.steps):
         edges = backbone(net, float(round(threshold, 6)))
-        forest = _UnionFind(net.nodes)
-        comps = n - sum(forest.union(a, b) for a, b, _ in edges)
+        comps = n - len(spanning_forest(n, [index[a] for a, _, _ in edges],
+                                        [index[b] for _, b, _ in edges]))
         mean_degree = 2 * len(edges) / n if n else 0.0
         print(f"{threshold:9.2f}  {len(edges):5d}  {comps:10d}  {mean_degree:11.2f}")
     return 0

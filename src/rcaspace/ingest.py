@@ -272,8 +272,13 @@ def _wide_cells(rows: _Rows) -> _Cells:
     header_line, header = next(rows, (0, None))
     if header is None or len(header) < 2 or header[0].strip().lower() != "country":
         raise DataError("invalid wide header: expected country,<field>,...")
-    if not all(normalize_name(name) for name in header[1:]):
-        raise DataError(f"empty field name at line {header_line}")
+    seen: set[str] = set()
+    for name in map(normalize_name, header[1:]):
+        if not name:
+            raise DataError(f"empty field name at line {header_line}")
+        if name in seen:
+            raise DataError(f"duplicate field {name!r} at line {header_line}")
+        seen.add(name)
     for line, row in rows:
         if len(row) != len(header):
             raise DataError(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
@@ -61,58 +61,105 @@ class NetworkLayout:
     edges: tuple[Edge, ...]  # (a, b, weight), a < b, sorted lexicographically
 
 
-def _positive_edges(net: ProximityNetwork) -> list[Edge]:
-    """Off-diagonal positive-weight pairs, named (a, b) with a < b."""
-    edges = []
-    n = len(net.nodes)
+#: Networks with at most this many node pairs (14 nodes) list their edges in
+#: pure Python over ``weights.tolist()``; larger ones list them with numpy,
+#: whose fixed cost per call is some 30 us but whose cost per pair is far
+#: lower.  The two cost the same near 100 pairs.
+PYTHON_LISTING_MAX_PAIRS = 100
+
+
+def _union(parent: list[int], a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Union-find over the pairs (a[k], b[k]) in order; the k that joined two trees."""
+    joined = []
+    for k, (x, y) in enumerate(zip(a, b)):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x != y:
+            parent[y] = x
+            joined.append(k)
+    return joined
+
+
+def spanning_forest(n_nodes: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Kruskal over the node-index pairs (a[k], b[k]), taken in the given order.
+
+    Returns the positions k of the pairs that joined two trees: with the pairs
+    in descending weight they form a maximum-weight spanning forest, and in
+    any order ``n_nodes - len(result)`` is the number of connected components.
+    The pairs go to the union-find in blocks that double in length.  Before
+    each block, one vector compare of the tree roots drops the pairs whose
+    ends already share a tree, so the Python loop skips most of a dense
+    graph's tail.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    parent = list(range(n_nodes))
+    joined: list[int] = []
+    start, stop = 0, n_nodes
+    while start < len(a) and len(joined) < n_nodes - 1:
+        roots = np.array(parent)
+        while not np.array_equal(roots, roots[roots]):
+            roots = roots[roots]
+        parent = roots.tolist()
+        block = start + np.flatnonzero(roots[a[start:stop]] != roots[b[start:stop]])
+        joined += block[_union(parent, a[block].tolist(), b[block].tolist())].tolist()
+        start, stop = stop, 2 * stop
+    return joined
+
+
+def _backbone_in_python(nodes: tuple[str, ...], weights: np.ndarray,
+                        threshold: float) -> list[Edge]:
+    n = len(nodes)
+    rows = weights.tolist()
+    edges = []  # (-weight, name a, name b, index a, index b): sorted, in Kruskal order
     for i in range(n):
         for j in range(i + 1, n):
-            w = float(net.weights[i, j])
+            w = rows[i][j]
             if w > 0.0:
-                a, b = sorted((net.nodes[i], net.nodes[j]))
-                edges.append((a, b, w))
-    return edges
+                edges.append((-w, nodes[i], nodes[j], i, j) if nodes[i] < nodes[j]
+                             else (-w, nodes[j], nodes[i], j, i))
+    edges.sort()
+    forest = set(_union(list(range(n)), [e[3] for e in edges], [e[4] for e in edges]))
+    return sorted((a, b, -w) for k, (w, a, b, _, _) in enumerate(edges)
+                  if k in forest or -w >= threshold)
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable[str]) -> None:
-        self.parent = {item: item for item in items}
-
-    def find(self, item: str) -> str:
-        root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:  # path compression
-            self.parent[item], item = root, self.parent[item]
-        return root
-
-    def union(self, a: str, b: str) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
+def _backbone_in_numpy(nodes: tuple[str, ...], weights: np.ndarray,
+                       threshold: float) -> list[Edge]:
+    order = sorted(range(len(nodes)), key=nodes.__getitem__)  # rank -> node index
+    upper = np.triu(weights, 1)
+    by_rank = (upper + upper.T)[np.ix_(order, order)]
+    a, b = np.nonzero(np.triu(by_rank > 0.0, 1))  # listed by (rank a, rank b)
+    w = by_rank[a, b]
+    by_weight = np.argsort(-w, kind="stable")
+    kept = w >= threshold
+    kept[by_weight[spanning_forest(len(order), a[by_weight], b[by_weight])]] = True
+    names = [nodes[i] for i in order]
+    return [(names[x], names[y], v)
+            for x, y, v in zip(a[kept].tolist(), b[kept].tolist(), w[kept].tolist())]
 
 
 def backbone(net: ProximityNetwork, threshold: float = DEFAULT_THRESHOLD) -> list[Edge]:
     """Retained edge list: max-weight spanning forest plus edges >= threshold.
 
-    Kruskal with deterministic tie-breaking (higher weight first, then
-    lexicographic node pair).  Edges of the network are the positive-weight
-    pairs; at threshold 0 all of them are retained.
+    The edges of the network are the positive-weight node pairs; the weight
+    of the pair of nodes i < j (in ``net.nodes`` order) is ``weights[i, j]``,
+    so only the upper triangle is read.  Kruskal takes the edges by weight
+    descending, ties broken by the node names in code-point order, so the
+    forest is unique.  At threshold 0 every edge is retained.  Edges come back
+    as (a, b, weight) with a < b, sorted by name.
+
+    Networks with at most ``PYTHON_LISTING_MAX_PAIRS`` node pairs list their
+    edges in pure Python; larger ones resolve the names to ranks once and
+    list the edges with numpy.  Both give the same edges.
     """
     if not 0.0 <= threshold <= 1.0:
         raise DataError(f"backbone threshold must be in [0, 1], got {threshold}")
-    edges = _positive_edges(net)
-    forest = _UnionFind(net.nodes)
-    retained = set()
-    for a, b, w in sorted(edges, key=lambda e: (-e[2], e[0], e[1])):
-        if forest.union(a, b):
-            retained.add((a, b))
-    for a, b, w in edges:
-        if w >= threshold:
-            retained.add((a, b))
-    return sorted((a, b, w) for a, b, w in edges if (a, b) in retained)
+    n = len(net.nodes)
+    if n * (n - 1) // 2 <= PYTHON_LISTING_MAX_PAIRS:
+        return _backbone_in_python(net.nodes, net.weights, threshold)
+    return _backbone_in_numpy(net.nodes, net.weights, threshold)
 
 
 def order_nodes(net: ProximityNetwork) -> tuple[str, ...]:

@@ -28,7 +28,11 @@ MODES = ("fields", "countries")
 
 @dataclass(frozen=True, eq=False)
 class ProximityNetwork:
-    """Symmetric weighted graph over fields or countries, weights in [0, 1]."""
+    """Symmetric weighted graph over fields or countries, weights in [0, 1].
+
+    Symmetry is not checked: the backbone reads the weight of the pair of
+    nodes i < j from ``weights[i, j]`` alone.
+    """
 
     mode: str
     nodes: tuple[str, ...]
@@ -50,13 +54,16 @@ class ProximityNetwork:
 
 
 def co_occurrence(adv: AdvantageMatrix, mode: str = "fields") -> np.ndarray:
-    """Symmetric integer co-advantage counts; the diagonal equals Ubi or Div."""
+    """Symmetric integer co-advantage counts; the diagonal equals Ubi or Div.
+
+    The product runs in float64, where BLAS does it, and is cast back to
+    int64: every count is at most the number of countries or fields, far
+    below 2**53, so the float64 sums are exact.
+    """
     if mode not in MODES:
         raise DataError(f"unknown proximity mode {mode!r}")
-    m = adv.m.astype(np.int64)
-    if mode == "fields":
-        return m.T @ m
-    return m @ m.T
+    m = adv.m.astype(np.float64)
+    return (m.T @ m if mode == "fields" else m @ m.T).astype(np.int64)
 
 
 def _min_conditional_weights(co: np.ndarray) -> np.ndarray:

@@ -66,3 +66,50 @@ def conditional_proximity_fields(m):
 def conditional_proximity_countries(m):
     transposed = [list(col) for col in zip(*m)]
     return conditional_proximity_fields(transposed)
+
+
+
+class _UnionFind:
+    def __init__(self, items):
+        self.parent = {item: item for item in items}
+
+    def find(self, item):
+        root = item
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[item] != root:  # path compression
+            self.parent[item], item = root, self.parent[item]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
+
+
+def reference_backbone(nodes, weights, threshold):
+    """Kruskal backbone over tuples of node names, straight from the definition.
+
+    The edges are the pairs of nodes i < j (in ``nodes`` order) with
+    ``weights[i][j] > 0``, named (a, b) with a < b.  Kruskal takes them by
+    weight descending, then by name pair; the result is the spanning forest
+    plus every edge at or above ``threshold``, sorted by name pair.
+    """
+    edges = []
+    for i in range(len(nodes)):
+        for j in range(i + 1, len(nodes)):
+            w = float(weights[i][j])
+            if w > 0.0:
+                a, b = sorted((nodes[i], nodes[j]))
+                edges.append((a, b, w))
+    forest = _UnionFind(nodes)
+    retained = set()
+    for a, b, w in sorted(edges, key=lambda e: (-e[2], e[0], e[1])):
+        if forest.union(a, b):
+            retained.add((a, b))
+    for a, b, w in edges:
+        if w >= threshold:
+            retained.add((a, b))
+    return sorted((a, b, w) for a, b, w in edges if (a, b) in retained)

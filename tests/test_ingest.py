@@ -167,10 +167,12 @@ class TestWideCsv:
             ("nation,Mth\nA,1\n", "invalid wide header"),
             ("country,Mth,\nA,1,2\n", "empty field name at line 1"),
             ("country,Mth\nA,1\nA,2\n", r"line 3 \(first at line 2\)"),
+            ("country,Mth,Mth\nA,1,2\n", "duplicate field 'Mth' at line 1"),
+            ("country,Caf\u00e9, Cafe\u0301\nA,1,2\n", "duplicate field 'Caf\u00e9' at line 1"),
         ],
         ids=[
             "bad-cell", "ragged-after-blank", "oversized-field", "bad-header",
-            "empty-field-name", "duplicate",
+            "empty-field-name", "duplicate", "duplicate-field", "duplicate-field-nfc",
         ],
     )
     def test_errors_name_file_lines(self, text, message):

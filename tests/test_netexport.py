@@ -16,7 +16,9 @@ from rcaspace import (
     order_nodes,
     size_nodes,
 )
-from rcaspace.netexport import layout_from_json
+from rcaspace.netexport import PYTHON_LISTING_MAX_PAIRS, layout_from_json
+
+from .oracles import reference_backbone
 
 
 def net_from(weights, nodes=None, volumes=None, mode="fields"):
@@ -119,9 +121,13 @@ class TestBackbone:
     def test_connectivity_preserved(self, weights, threshold):
         np.fill_diagonal(weights, 1.0)
         net = net_from(weights)
-        from rcaspace.netexport import _positive_edges
-
-        full = _positive_edges(net)
+        n = len(net.nodes)
+        full = [
+            (*sorted((net.nodes[i], net.nodes[j])), float(net.weights[i, j]))
+            for i in range(n)
+            for j in range(i + 1, n)
+            if net.weights[i, j] > 0.0
+        ]
         kept = backbone(net, threshold)
         assert components(net.nodes, kept) == components(net.nodes, full)
         kept_pairs = {(a, b) for a, b, _ in kept}
@@ -134,6 +140,47 @@ class TestBackbone:
         np.fill_diagonal(weights, 1.0)
         net = net_from(weights)
         assert backbone(net, 0.4) == backbone(net, 0.4)
+
+
+#: The largest node count whose edges are listed in pure Python.
+_SMALL_N = max(n for n in range(64) if n * (n - 1) // 2 <= PYTHON_LISTING_MAX_PAIRS)
+
+
+@st.composite
+def quarter_networks(draw):
+    """Weights in quarter steps (ties are common), possibly asymmetric, with
+    isolated nodes and disconnected groups; shuffled names where "Z" < "a" < "É"."""
+    n = draw(st.one_of(st.integers(0, _SMALL_N), st.integers(_SMALL_N + 1, _SMALL_N + 8)))
+    names = draw(st.lists(st.text("ZaÉz", min_size=1, max_size=3),
+                          min_size=n, max_size=n, unique=True))
+    quarters = draw(st.lists(st.integers(0, 4), min_size=n * n, max_size=n * n))
+    w = np.array(quarters, dtype=float).reshape(n, n) / 4.0
+    if draw(st.booleans()):
+        w = np.triu(w) + np.triu(w, 1).T
+    groups = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=int)
+    w[groups[:, None] != groups[None, :]] = 0.0
+    w[groups == 3, :] = 0.0  # group 3 nodes are isolated
+    return net_from(w, names)
+
+
+class TestBackboneReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        quarter_networks(),
+        st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0)),
+    )
+    def test_equals_string_kruskal(self, net, threshold):
+        expected = reference_backbone(net.nodes, net.weights.tolist(), threshold)
+        assert backbone(net, threshold) == expected
+
+    @pytest.mark.parametrize("n", [3, _SMALL_N + 1])
+    def test_asymmetric_weights_read_upper_triangle(self, n):
+        # the pair of nodes i < j (in node order) weighs weights[i, j]; the
+        # lower triangle is never read, whatever the names' order
+        weights = np.zeros((n, n))
+        weights[0, 1], weights[1, 0] = 0.25, 0.75
+        names = ["b", "a"] + [f"c{k}" for k in range(n - 2)]
+        assert backbone(net_from(weights, names), 0.0) == [("a", "b", 0.25)]
 
 
 class TestOrderAndSize:
