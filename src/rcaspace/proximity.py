@@ -48,6 +48,8 @@ class ProximityNetwork:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "nodes", tuple(self.nodes))
+        if len(set(self.nodes)) != len(self.nodes):
+            raise DataError("duplicate node names")
 
     def n_nodes(self) -> int:
         return len(self.nodes)

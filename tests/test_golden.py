@@ -7,12 +7,16 @@ change.
 import dataclasses
 import hashlib
 import io
+import json
+import unicodedata
 
 import numpy as np
 
 from rcaspace import IndexKind
 from rcaspace.cli import main
 from rcaspace.ingest import (
+    BLOCK_ROWS,
+    FIELD_LABELS,
     matrix_csv_text,
     parse_production_csv,
     parse_production_wide_csv,
@@ -29,6 +33,7 @@ from rcaspace.rca import compute_rca, threshold_advantage
 
 DEMO_TREE_SHA256 = "c197f13e36700362087234eb488a5d21d1d8fa6a7abd81cee17c84b4f1da4432"
 TINY_SHA256 = "d310f9c440ec59e4c906d9e0f3a9bc76b0203d7775fc3c2afb041c5e48de24fa"
+MULTI_BLOCK_SHA256 = "3ec527c1df45ad4d5288e77513991861923b82ef91be4edf58f7dfa17a51b3e0"
 
 # Names that need CSV quoting (comma, double quote) and NFC normalization
 # (the accents are written decomposed and must come out composed).
@@ -111,3 +116,49 @@ def test_writers_keep_exact_values():
         build_layout(net, 0.0), edges=(("a", "b", -0.0), ("a", "c", 0.0))
     )
     assert emit(layout, "csv") == b"node_a,node_b,weight\na,b,-0.0\na,c,0.0\n"
+
+
+def _multi_block_csv():
+    """A long CSV of some 2200 rows in a fixed shuffled order, built without RNG.
+
+    Names need quoting (commas, double quotes) and half the rows spell the
+    accented ones in NFD, so spellings merge within and across blocks.
+    Some cells are absent and some values are -0 or fractional.
+    """
+    n_c, n_f = 40, 64
+    fields = [name for name, _ in FIELD_LABELS.entries]
+    fields += [f"M\u00e9decine {j}" for j in range(n_f - len(fields))]
+    countries = [(f"Republic {c}, The", f'The "Quoted" {c}', f"C\u00f4te {c}", f"Plain {c}")[c % 4]
+                 for c in range(n_c)]
+    rows = []
+    for c in range(n_c):
+        for f in range(n_f):
+            if (c * f) % 7 == 3:
+                continue
+            base = (3 * (c + 1) * (f + 2) + 7 * (c + f + 1)) % 29
+            value = base * (1 + (c + 2 * f) % 5)
+            text = "-0" if value == 0 and (c + f) % 3 == 0 else (
+                repr(value / 8) if f % 9 == 4 else str(value))
+            rows.append((countries[c], fields[f], text))
+    lines = ["country,field,value"]
+    for k in range(len(rows)):  # 7919 is prime and does not divide len(rows): a permutation
+        country, field, text = rows[k * 7919 % len(rows)]
+        if k % 2:
+            country = unicodedata.normalize("NFD", country)
+            field = unicodedata.normalize("NFD", field)
+        lines.append(",".join(
+            '"' + t.replace('"', '""') + '"' if any(ch in t for ch in ',"') else t
+            for t in (country, field, text)
+        ))
+    return "\n".join(lines) + "\n"
+
+
+def test_multi_block_long_csv():
+    text = _multi_block_csv()
+    assert text.count("\n") > 4 * BLOCK_ROWS
+    table = parse_production_csv(io.StringIO(text), IndexKind.DOCUMENTS)
+    assert table.values.shape == (40, 64)
+    digest = hashlib.sha256(
+        json.dumps([table.countries, table.fields]).encode("utf-8") + table.values.tobytes()
+    )
+    assert digest.hexdigest() == MULTI_BLOCK_SHA256

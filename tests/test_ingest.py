@@ -1,5 +1,9 @@
+import csv
 import io
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from rcaspace import (
     resolve_labels,
     validate_alignment,
 )
+from rcaspace import ingest
 from rcaspace.ingest import load_manifest, normalize_name, production_csv_text
 
 
@@ -374,3 +379,197 @@ class TestProductionTableInvariants:
         table = make_table([[1.0]])
         with pytest.raises(ValueError):
             table.values[0, 0] = 5.0
+
+
+# Base names, each with the spellings a file may use for it: quoting needs,
+# an embedded newline (which shifts the line numbers after it), NFD forms and
+# surrounding whitespace, all of which must merge with the first spelling.
+COUNTRY_SPELLINGS = (
+    ("A",),
+    ("Korea, South", " Korea, South "),
+    ('The "Quoted" Republic',),
+    ("New\nZealand",),
+    ("P\u00e9rou", "Pe\u0301rou", "Pe\u0301rou "),
+    ("C\u00f4te d'Ivoire", "Co\u0302te d'Ivoire"),
+    ("Z",),
+)
+FIELD_SPELLINGS = (
+    ("Mth",),
+    ("Economics, Econometrics and Finance",),
+    ("M\u00e9decine", "Me\u0301decine"),
+    ('Say "when"',),
+    ("Chm", " Chm"),
+)
+GOOD_VALUES = ("0", "3", "-0", "12.5", "1e2", " 7 ", "1_000", "\u0663", "0.1")
+BAD_VALUES = ("x", "", "-3", "nan", "NaN", "inf", "-inf", "1e999", "1__0")
+# Rows the long reader must not take as data: all-blank rows (skipped),
+# ragged rows, empty names, and a bare carriage return, which is a csv.Error
+# unless the stream splits lines there.
+JUNK_ROWS = ("", "   ", ",,", " , , ", "A,Mth", "A,Mth,1,2", '"",Mth,1', "A, ,1",
+             "Bad\rRow,Mth,1")
+# A field over the csv module's default size limit, a csv.Error in every stream.
+OVERSIZED_ROW = "C,Mth," + "1" * 200_000
+
+
+def _csv_cell(text, quote_all):
+    if quote_all or any(ch in text for ch in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def long_csv_texts(draw):
+    """Long CSV texts; most are valid, the rest carry a few injected faults."""
+    quote_all = draw(st.booleans())
+
+    def row(*texts):
+        return ",".join(_csv_cell(t, quote_all) for t in texts)
+
+    def spelled(c, f, value):
+        return row(draw(st.sampled_from(COUNTRY_SPELLINGS[c])),
+                   draw(st.sampled_from(FIELD_SPELLINGS[f])), value)
+
+    header = draw(st.sampled_from(
+        ["country,field,value"] * 6 + [" Country ,FIELD,value", "nation,field,value", None]
+    ))
+    cells = draw(st.lists(
+        st.tuples(st.integers(0, len(COUNTRY_SPELLINGS) - 1),
+                  st.integers(0, len(FIELD_SPELLINGS) - 1)),
+        unique=True, max_size=20,
+    ))
+    rows = [spelled(c, f, draw(st.sampled_from(GOOD_VALUES))) for c, f in cells]
+    for fault in draw(st.lists(st.sampled_from(["junk", "value", "duplicate"]), max_size=3)):
+        if fault == "junk":
+            text = draw(st.sampled_from(JUNK_ROWS))
+        elif fault == "duplicate" and cells:
+            text = spelled(*draw(st.sampled_from(cells)), "5")
+        else:
+            text = row("Y", draw(st.sampled_from(["Mth", "Chm"])),
+                       draw(st.sampled_from(BAD_VALUES)))
+        rows.insert(draw(st.integers(0, len(rows))), text)
+    lines = ([] if header is None else [header]) + rows
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + (eol if lines else "")
+
+
+class _Unseekable(io.BytesIO):
+    def seekable(self):
+        return False
+
+
+def _table_or_error(parse):
+    try:
+        return parse()
+    except DataError as exc:
+        return str(exc)
+
+
+def _per_row_core(stream):
+    with stream:
+        return ingest._table_from_cells(
+            ingest._long_cells(ingest._csv_rows(stream)), IndexKind.DOCUMENTS
+        )
+
+
+def _assert_same(result, expected):
+    if isinstance(expected, str):
+        assert result == expected
+    else:
+        assert isinstance(result, ProductionTable), result
+        assert result == expected
+        assert np.array_equal(np.signbit(result.values), np.signbit(expected.values))
+
+
+def _source_kinds(text, path):
+    """Per source kind: a fresh source, and the stream the per-row core reads it as.
+
+    A file splits lines at a bare carriage return, a ``StringIO`` does not.
+    """
+    data = text.encode("utf-8")
+    path.write_bytes(data)
+
+    def unseekable():
+        return io.TextIOWrapper(_Unseekable(data), encoding="utf-8", newline="")
+
+    return [
+        (lambda: path, lambda: open(path, encoding="utf-8", newline="")),
+        (lambda: io.StringIO(text), lambda: io.StringIO(text)),
+        (lambda: io.BytesIO(data), lambda: io.StringIO(text)),
+        (unseekable, unseekable),
+    ]
+
+
+class TestBlockReader:
+    """The block-columnar long reader against the per-row core it falls back to."""
+
+    def check(self, text, block_rows):
+        """Each source kind parses as the per-row core reads it; returns the core's
+        result on a StringIO."""
+        with mock.patch.object(ingest, "BLOCK_ROWS", block_rows), \
+                tempfile.TemporaryDirectory() as directory:
+            for source, stream in _source_kinds(text, Path(directory) / "t.csv"):
+                _assert_same(
+                    _table_or_error(lambda: parse_production_csv(source(), IndexKind.DOCUMENTS)),
+                    _table_or_error(lambda: _per_row_core(stream())),
+                )
+            blocks = ingest._long_table_in_blocks(csv.reader(io.StringIO(text)),
+                                                  IndexKind.DOCUMENTS)
+        expected = _table_or_error(lambda: _per_row_core(io.StringIO(text)))
+        if blocks is not None:
+            _assert_same(blocks, expected)
+        elif not isinstance(expected, str):
+            # the core accepted it, so only an all-blank row declined the blocks
+            assert any(row and not "".join(row).strip() for row in csv.reader(io.StringIO(text)))
+        return expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(long_csv_texts(), st.sampled_from([1, 2, 3, 5, ingest.BLOCK_ROWS]))
+    def test_matches_per_row_core(self, text, block_rows):
+        self.check(text, block_rows)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (f"country,field,value\nA,Mth,1\nA,Chm,x\nB,Mth,2\n{OVERSIZED_ROW}\n",
+             "non-numeric value 'x' at line 3"),
+            (f"country,field,value\nA,Mth,1\n{OVERSIZED_ROW}\nA,Chm,x\n",
+             "malformed CSV at line 3: field larger than field limit (131072)"),
+            ("country,field,value\nA,Mth,1\nB,Mth,2\nC,Mth,3\nD,Mth,-1\n",
+             "negative value at line 5"),
+            ("country,field,value\nA,Mth,1\nB,Mth,2\nC,Mth,inf\n",
+             "non-finite value 'inf' at line 4"),
+            ('country,field,value\n"New\nZealand",Mth,1\nB,Mth,2\nA,Chm,3\nA,Chm,4\n',
+             "duplicate cell (A, Chm) at line 6 (first at line 5)"),
+            ("country,field,value\r\nP\u00e9rou,Mth,1\r\nB,Mth,2\r\nPe\u0301rou,Mth,3\r\n",
+             "duplicate cell (P\u00e9rou, Mth) at line 4 (first at line 2)"),
+            ("country,field,value\n", "no data rows"),
+            ("\n \n", "empty file: missing country,field,value header"),
+        ],
+        ids=["bad-value-before-csv-error", "csv-error-before-bad-value", "error-in-later-block",
+             "infinite-in-later-block", "duplicate-across-blocks", "nfd-duplicate-across-blocks",
+             "header-only", "blank-file"],
+    )
+    def test_errors_name_first_bad_line(self, text, expected):
+        assert self.check(text, block_rows=2) == expected
+
+    def test_file_read_past_a_preamble(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# notes\ncountry,field,value\nA,Mth,1\n", encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as stream:
+            next(stream)  # a text file cannot tell its position after next()
+            assert parse_production_csv(stream, IndexKind.DOCUMENTS).countries == ("A",)
+
+    @pytest.mark.parametrize("blank_row", ["", ",,"])
+    def test_merges_and_skips_across_blocks(self, blank_row):
+        text = (f"country,field,value\nB,Mth,1\n{blank_row}\nP\u00e9rou,Mth,-0\n\n"
+                "Z,Chm,2\nPe\u0301rou ,Chm,1_000\n")
+        table = self.check(text, block_rows=2)
+        assert table.countries == ("B", "P\u00e9rou", "Z")
+        assert table.fields == ("Mth", "Chm")
+        assert table.values.tolist() == [[1.0, 0.0], [-0.0, 1000.0], [0.0, 2.0]]
+        assert np.signbit(table.values[1, 0])
+        with mock.patch.object(ingest, "BLOCK_ROWS", 2):
+            blocks = ingest._long_table_in_blocks(csv.reader(io.StringIO(text)),
+                                                  IndexKind.DOCUMENTS)
+        # a blank line is dropped in the blocks; a row of blank cells declines them
+        assert (blocks is None) == bool(blank_row)

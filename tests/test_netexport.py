@@ -182,6 +182,13 @@ class TestBackboneReference:
         names = ["b", "a"] + [f"c{k}" for k in range(n - 2)]
         assert backbone(net_from(weights, names), 0.0) == [("a", "b", 0.25)]
 
+    @pytest.mark.parametrize("n", [3, _SMALL_N + 1])
+    def test_duplicate_node_names_rejected(self, n):
+        # on either listing path a repeated name would yield an (A, A) edge
+        names = ["A", "A"] + [f"n{k:02d}" for k in range(n - 2)]
+        with pytest.raises(DataError, match="duplicate node names"):
+            net_from(np.full((n, n), 0.5), names)
+
 
 class TestOrderAndSize:
     def test_ascending_strength(self):
