@@ -23,8 +23,9 @@ import math
 import unicodedata
 import warnings
 from dataclasses import dataclass
+from operator import add
 from pathlib import Path
-from typing import IO, ContextManager, Iterable, Iterator, Sequence, Union
+from typing import IO, Callable, ContextManager, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -174,7 +175,12 @@ class ProductionTable:
 def _open_text(source: Source) -> ContextManager[IO[str]]:
     """``source`` as a seekable text stream, so a reader can read it twice.
 
-    Leaving the context closes only what was opened.
+    Lines end where a file opened with ``newline=""`` ends them, at
+    ``\n``, ``\r\n`` or a bare ``\r``, for a path, a binary stream and a
+    text stream that cannot seek.  A seekable text stream is read as it is,
+    so a caller's own ``io.StringIO`` splits lines as it was made to: made
+    with ``newline=""`` it ends a row at a bare ``\r``, made with the default
+    it does not.  Leaving the context closes only what was opened.
     """
     if isinstance(source, (str, Path)):
         return open(source, "r", encoding="utf-8", newline="")
@@ -182,20 +188,23 @@ def _open_text(source: Source) -> ContextManager[IO[str]]:
         try:
             source.tell()  # fails if the stream cannot seek, or not after next()
         except OSError:
-            # a copy whose lines end where a stream read with newline="" or None ends them
             return io.StringIO(source.read(), newline="")
         return contextlib.nullcontext(source)
     data = source.read()
     if isinstance(data, bytes):
         try:
-            return io.StringIO(data.decode("utf-8"))
+            data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"input is not valid UTF-8: {exc}") from None
-    return io.StringIO(data)
+    return io.StringIO(data, newline="")
 
 
 _Rows = Iterator[tuple[int, list[str]]]
 _Cells = Iterator[tuple[int, str, str, str]]
+
+
+def _is_blank(row: list[str]) -> bool:
+    return not "".join(row).strip()
 
 
 def _csv_rows(stream: IO[str]) -> _Rows:
@@ -203,7 +212,7 @@ def _csv_rows(stream: IO[str]) -> _Rows:
     reader = csv.reader(stream)
     try:
         for row in reader:
-            if "".join(row).strip():
+            if not _is_blank(row):
                 yield reader.line_num, row
     except csv.Error as exc:
         raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
@@ -287,31 +296,44 @@ def _long_table_in_blocks(reader: Iterator[list[str]],
                           index_kind: IndexKind) -> ProductionTable | None:
     """The long table read ``BLOCK_ROWS`` rows at a time, or None when a check fails.
 
-    A failed check, a csv error, a duplicate cell or a row whose cells are
-    all blank returns None without naming the line; the caller rereads the
-    input with the per-row core.  Same table as that core otherwise.
+    A failed check, a csv error or a duplicate cell returns None without
+    naming the line; the caller rereads the input with the per-row core.
+    All-blank rows (``,,`` or whitespace) are dropped from a block that fails
+    its checks, and the block is checked again.  Same table as the per-row
+    core otherwise.
     """
     countries: dict[str, int] = {}
     fields: dict[str, int] = {}
     country_code: dict[str, int] = {}  # spelling -> code
     field_code: dict[str, int] = {}
+
+    def columns(block: list[list[str]]):
+        if set(map(len, block)) != {3}:
+            raise ValueError("not 3 columns")
+        country_col, field_col, texts = zip(*block)
+        values = np.fromiter(map(float, texts), np.float64, len(texts))
+        if not np.all((values >= 0.0) & (values < np.inf)):
+            raise ValueError("value out of range")
+        return (_codes(country_col, country_code, countries),
+                _codes(field_col, field_code, fields), values)
+
     parts = []
     try:
-        header = next(filter(None, reader), None)
+        header = next(itertools.filterfalse(_is_blank, reader), None)
         if header is None or not _is_long_header(header):
             return None
         for block in iter(lambda: list(itertools.islice(reader, BLOCK_ROWS)), []):
             block = list(filter(None, block))  # drop blank lines
             if not block:
                 continue
-            if set(map(len, block)) != {3}:
-                return None
-            country_col, field_col, texts = zip(*block)
-            values = np.fromiter(map(float, texts), np.float64, len(texts))
-            if not np.all((values >= 0.0) & (values < np.inf)):
-                return None
-            parts.append((_codes(country_col, country_code, countries),
-                          _codes(field_col, field_code, fields), values))
+            try:
+                parts.append(columns(block))
+            except ValueError:
+                kept = list(itertools.filterfalse(_is_blank, block))
+                if len(kept) == len(block):
+                    return None
+                if kept:
+                    parts.append(columns(kept))
     except (csv.Error, ValueError):
         return None
     if not parts:
@@ -439,31 +461,97 @@ def validate_alignment(tables: Sequence[ProductionTable]) -> list[ProductionTabl
     return aligned
 
 
-def _csv_quote(text: str) -> str:
-    if any(ch in text for ch in ',"\n\r'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+class _Memo(dict):
+    """A dict that fills in a missing key with ``fmt(key)``, the key's text.
 
-
-def _long_csv_text(header: str, names_a: Sequence[str], names_b: Sequence[str],
-                   pairs: Iterable[tuple[int, int]], values: Iterable[str]) -> str:
-    """The codec's only CSV writer: ``header``, then ``a,b,value`` per pair.
-
-    ``pairs`` index into ``names_a`` and ``names_b``; ``values`` come
-    formatted.  Each name is quoted once.
+    A writer makes one per call, so it formats each distinct name or value
+    once.  The types made by :func:`_memo` set ``fmt``; making a memo costs
+    no more than making a dict.
     """
-    quoted_a = [_csv_quote(name) for name in names_a]
-    quoted_b = quoted_a if names_b is names_a else [_csv_quote(name) for name in names_b]
+
+    __slots__ = ()
+    fmt: Callable[[object], str]
+
+    def __missing__(self, key) -> str:
+        text = self[key] = self.fmt(key)
+        return text
+
+
+class _FloatMemo(_Memo):
+    """A memo of float texts: ``fmt(float(value))`` for each value looked up.
+
+    -0.0 == 0.0 would make them one key, so a zero is formatted at each
+    lookup and never kept; it keeps its sign.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, value: float) -> str:
+        text = self.fmt(float(value))
+        if value:
+            self[value] = text
+        return text
+
+
+def _memo(fmt: Callable[[object], str], base: type[_Memo] = _Memo) -> type[_Memo]:
+    """The memo type whose missing keys get ``fmt(key)``."""
+    return type(base.__name__, (base,), {"__slots__": (), "fmt": staticmethod(fmt)})
+
+
+#: weights written with the shortest ``repr`` that reads back the same float
+_FloatTexts = _memo(float.__repr__, _FloatMemo)
+
+
+class _CsvHeads(_Memo):
+    """Each name as it starts a CSV cell: quoted if it must be, then a comma.
+
+    The only CSV quoting of the writers: a line ``a,b,value`` is
+    ``heads[a] + heads[b] + value``.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, name: str) -> str:
+        if "," in name or '"' in name or "\n" in name or "\r" in name:
+            text = self[name] = '"' + name.replace('"', '""') + '",'
+        else:
+            text = self[name] = name + ","
+        return text
+
+
+class _CellTexts(_Memo):
+    """Matrix cell texts: integral cells as ints, the others with ``repr``.
+
+    Each distinct value is formatted once.  -0.0 and 0.0 are both written
+    "0", so they may share a key; an int64 above 2**53 is written from the
+    int itself.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, value) -> str:
+        text = self[value] = (str(int(value)) if float(value).is_integer()
+                              else repr(float(value)))
+        return text
+
+
+def _long_csv_text(header: str, rows: Iterable[tuple[str, Iterable[str], Iterable[str]]]) -> str:
+    """``header``, then the ``a,b,value`` lines of pairs grouped by their first name.
+
+    Each row ``(a, names_b, values)`` gives one line per name in ``names_b``,
+    all of them starting with ``a``; ``values`` come formatted.  Each
+    distinct name is quoted once, and a row is joined from the quoted pieces
+    without a format per line.
+    """
+    heads = _CsvHeads()
     lines = [header]
-    lines.extend(f"{quoted_a[i]},{quoted_b[j]},{v}" for (i, j), v in zip(pairs, values))
+    for a, names_b, values in rows:
+        head = heads[a]
+        body = ("\n" + head).join(map(add, map(heads.__getitem__, names_b), values))
+        if body:
+            lines.append(head + body)
     lines.append("")
     return "\n".join(lines)
-
-
-def _format_cell(value) -> str:
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
 
 
 def matrix_csv_text(countries: Iterable[str], fields: Iterable[str], values: np.ndarray) -> str:
@@ -471,15 +559,15 @@ def matrix_csv_text(countries: Iterable[str], fields: Iterable[str], values: np.
 
     All cells are written (zeros included) so that parsing the output
     reconstructs the exact same matrix; integral cells are written as
-    integers, the others with repr, so they round-trip bit-exactly.
+    integers, the others with repr, so they round-trip bit-exactly.  Each
+    distinct cell value is formatted once.
     """
     countries, fields = tuple(countries), tuple(fields)
+    texts = list(map(_CellTexts().__getitem__, np.asarray(values).ravel().tolist()))
+    n_f = len(fields)
     return _long_csv_text(
         "country,field,value",
-        countries,
-        fields,
-        itertools.product(range(len(countries)), range(len(fields))),
-        [_format_cell(v) for v in np.asarray(values).ravel().tolist()],
+        ((country, fields, texts[i * n_f:(i + 1) * n_f]) for i, country in enumerate(countries)),
     )
 
 

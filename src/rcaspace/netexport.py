@@ -17,13 +17,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Iterator, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
 from .errors import DataError
-from .ingest import _long_csv_text
+from .ingest import _CsvHeads, _FloatMemo, _FloatTexts, _Memo, _memo
 from .proximity import ProximityNetwork
 
 FORMATS = ("dot", "graphml", "json", "csv", "svg")
@@ -128,16 +129,20 @@ def _backbone_in_python(nodes: tuple[str, ...], weights: np.ndarray,
 def _backbone_in_numpy(nodes: tuple[str, ...], weights: np.ndarray,
                        threshold: float) -> list[Edge]:
     order = sorted(range(len(nodes)), key=nodes.__getitem__)  # rank -> node index
-    upper = np.triu(weights, 1)
-    by_rank = (upper + upper.T)[np.ix_(order, order)]
-    a, b = np.nonzero(np.triu(by_rank > 0.0, 1))  # listed by (rank a, rank b)
-    w = by_rank[a, b]
-    by_weight = np.argsort(-w, kind="stable")
+    rank = np.empty(len(nodes), dtype=np.intp)
+    rank[order] = np.arange(len(nodes))
+    i, j = np.nonzero(np.triu(weights > 0.0, 1))  # the edges, listed in node order
+    w = weights[i, j]
+    low, high = np.minimum(rank[i], rank[j]), np.maximum(rank[i], rank[j])
+    pair = low * len(nodes) + high  # orders the edges as (low, high) would
+    by_weight = np.lexsort((pair, -w))  # Kruskal order: weight descending, then names
     kept = w >= threshold
-    kept[by_weight[spanning_forest(len(order), a[by_weight], b[by_weight])]] = True
-    names = [nodes[i] for i in order]
+    kept[by_weight[spanning_forest(len(nodes), low[by_weight], high[by_weight])]] = True
+    kept = np.flatnonzero(kept)
+    kept = kept[np.argsort(pair[kept])]  # by name pair
+    names = [nodes[k] for k in order]
     return [(names[x], names[y], v)
-            for x, y, v in zip(a[kept].tolist(), b[kept].tolist(), w[kept].tolist())]
+            for x, y, v in zip(low[kept].tolist(), high[kept].tolist(), w[kept].tolist())]
 
 
 def backbone(net: ProximityNetwork, threshold: float = DEFAULT_THRESHOLD) -> list[Edge]:
@@ -231,22 +236,36 @@ def emit(layout: NetworkLayout, format: str) -> bytes:
     return writer(layout).encode("utf-8")
 
 
+#: json's own spelling of the floats that repr writes as nan, inf and -inf
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_number(value: float) -> str:
+    text = repr(value)
+    return _JSON_NON_FINITE.get(text, text)
+
+
+_JsonNames = _memo(encode_basestring_ascii)
+_JsonNumbers = _memo(_json_number, _FloatMemo)
+
+
+def _node_rows(layout: NetworkLayout) -> Iterator[tuple[str, float, float, str, float, float]]:
+    """(name, strength, volume, ring, angle, radius) of each node, numbers as Python scalars."""
+    return zip(layout.nodes, layout.strength.tolist(), layout.volume.tolist(), layout.ring,
+               layout.angle.tolist(), layout.radius.tolist())
+
+
 def _emit_json(layout: NetworkLayout) -> str:
-    doc = {
-        "nodes": [
-            {
-                "id": name,
-                "strength": float(layout.strength[i]),
-                "volume": float(layout.volume[i]),
-                "ring": layout.ring[i],
-                "angle": float(layout.angle[i]),
-                "radius": float(layout.radius[i]),
-            }
-            for i, name in enumerate(layout.nodes)
-        ],
-        "edges": [{"a": a, "b": b, "weight": w} for a, b, w in layout.edges],
-    }
-    return json.dumps(doc, separators=(",", ":"))
+    """What ``json.dumps`` writes for the layout, with separators "," and ":"."""
+    quoted, number = _JsonNames(), _JsonNumbers()
+    nodes = [
+        f'{{"id":{quoted[name]},"strength":{number[s]},"volume":{number[v]},'
+        f'"ring":{encode_basestring_ascii(r)},"angle":{number[t]},"radius":{number[d]}}}'
+        for name, s, v, r, t, d in _node_rows(layout)
+    ]
+    edges = [f'{{"a":{quoted[a]},"b":{quoted[b]},"weight":{number[w]}}}'
+             for a, b, w in layout.edges]
+    return '{"nodes":[' + ",".join(nodes) + '],"edges":[' + ",".join(edges) + "]}"
 
 
 def layout_from_json(data: bytes | str) -> NetworkLayout:
@@ -268,30 +287,34 @@ def layout_from_json(data: bytes | str) -> NetworkLayout:
 
 
 def _emit_csv(layout: NetworkLayout) -> str:
-    index = {name: i for i, name in enumerate(layout.nodes)}
-    return _long_csv_text(
-        "node_a,node_b,weight",
-        layout.nodes,
-        layout.nodes,
-        [(index[a], index[b]) for a, b, _ in layout.edges],
-        [repr(float(w)) for _, _, w in layout.edges],
-    )
+    heads, weight = _CsvHeads(), _FloatTexts()
+    lines = [heads[a] + heads[b] + weight[w] for a, b, w in layout.edges]
+    return "\n".join(["node_a,node_b,weight", *lines, ""])
 
 
-def _dot_quote(name: str) -> str:
-    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+class _DotNames(_Memo):
+    """Each name as a DOT string: in double quotes, with ``\\`` and ``"`` escaped."""
+
+    __slots__ = ()
+
+    def __missing__(self, name: str) -> str:
+        text = self[name] = '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return text
+
+
+_XmlNames = _memo(quoteattr)
 
 
 def _emit_dot(layout: NetworkLayout) -> str:
+    quoted, weight = _DotNames(), _FloatTexts()
     lines = ["graph proximity {"]
-    for i, name in enumerate(layout.nodes):
+    for name, s, v, r, t, d in _node_rows(layout):
         lines.append(
-            f"  {_dot_quote(name)} [strength={float(layout.strength[i])!r}, "
-            f"volume={float(layout.volume[i])!r}, ring=\"{layout.ring[i]}\", "
-            f"angle={float(layout.angle[i])!r}, radius={float(layout.radius[i])!r}];"
+            f"  {quoted[name]} [strength={float(s)!r}, volume={float(v)!r}, ring=\"{r}\", "
+            f"angle={float(t)!r}, radius={float(d)!r}];"
         )
     for a, b, w in layout.edges:
-        lines.append(f"  {_dot_quote(a)} -- {_dot_quote(b)} [weight={float(w)!r}];")
+        lines.append(f"  {quoted[a]} -- {quoted[b]} [weight={weight[w]}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -307,6 +330,7 @@ _GRAPHML_KEYS = (
 
 
 def _emit_graphml(layout: NetworkLayout) -> str:
+    quoted, weight = _XmlNames(), _FloatTexts()
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
@@ -317,17 +341,17 @@ def _emit_graphml(layout: NetworkLayout) -> str:
             f'attr.name="{attr}" attr.type="{attr_type}"/>'
         )
     lines.append('  <graph id="proximity" edgedefault="undirected">')
-    for i, name in enumerate(layout.nodes):
-        lines.append(f"    <node id={quoteattr(name)}>")
-        lines.append(f'      <data key="d_strength">{float(layout.strength[i])!r}</data>')
-        lines.append(f'      <data key="d_volume">{float(layout.volume[i])!r}</data>')
-        lines.append(f'      <data key="d_ring">{escape(layout.ring[i])}</data>')
-        lines.append(f'      <data key="d_angle">{float(layout.angle[i])!r}</data>')
-        lines.append(f'      <data key="d_radius">{float(layout.radius[i])!r}</data>')
+    for name, s, v, r, t, d in _node_rows(layout):
+        lines.append(f"    <node id={quoted[name]}>")
+        lines.append(f'      <data key="d_strength">{float(s)!r}</data>')
+        lines.append(f'      <data key="d_volume">{float(v)!r}</data>')
+        lines.append(f'      <data key="d_ring">{escape(r)}</data>')
+        lines.append(f'      <data key="d_angle">{float(t)!r}</data>')
+        lines.append(f'      <data key="d_radius">{float(d)!r}</data>')
         lines.append("    </node>")
     for a, b, w in layout.edges:
-        lines.append(f"    <edge source={quoteattr(a)} target={quoteattr(b)}>")
-        lines.append(f'      <data key="d_weight">{float(w)!r}</data>')
+        lines.append(f"    <edge source={quoted[a]} target={quoted[b]}>")
+        lines.append(f'      <data key="d_weight">{weight[w]}</data>')
         lines.append("    </edge>")
     lines.append("  </graph>")
     lines.append("</graphml>")
@@ -348,9 +372,15 @@ def _svg_positions(layout: NetworkLayout) -> dict[str, tuple[float, float]]:
     return positions
 
 
+_SvgWidths = _memo(lambda w: f"{6.0 * w:.3f}", _FloatMemo)
+
+
 def _emit_svg(layout: NetworkLayout) -> str:
     center = SVG_SIZE / 2.0
     pos = _svg_positions(layout)
+    # the node centres, formatted once and drawn by the node and by each of its edges
+    xy = {name: (f"{x:.2f}", f"{y:.2f}") for name, (x, y) in pos.items()}
+    width = _SvgWidths()
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
@@ -362,16 +392,14 @@ def _emit_svg(layout: NetworkLayout) -> str:
             f'  <circle cx="{center:.1f}" cy="{center:.1f}" r="{guide:.1f}" '
             'fill="none" stroke="#eeeeee" stroke-width="1"/>'
         )
-    for a, b, w in layout.edges:
-        (x1, y1), (x2, y2) = pos[a], pos[b]
-        lines.append(
-            f'  <line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
-            f'stroke="#607090" stroke-width="{6.0 * float(w):.3f}" stroke-opacity="0.6"/>'
-        )
+    lines += [f'  <line x1="{xy[a][0]}" y1="{xy[a][1]}" x2="{xy[b][0]}" y2="{xy[b][1]}" '
+              f'stroke="#607090" stroke-width="{width[w]}" stroke-opacity="0.6"/>'
+              for a, b, w in layout.edges]
     for i, name in enumerate(layout.nodes):
         x, y = pos[name]
+        cx, cy = xy[name]
         lines.append(
-            f'  <circle cx="{x:.2f}" cy="{y:.2f}" r="{float(layout.radius[i]):.2f}" '
+            f'  <circle cx="{cx}" cy="{cy}" r="{float(layout.radius[i]):.2f}" '
             'fill="#4878b0" stroke="#16324f" stroke-width="1.5"/>'
         )
         # label just outside the node, pushed away from the ring center

@@ -14,13 +14,12 @@ self-loops are excluded from node strength and from exports.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .ingest import _long_csv_text
+from .ingest import _FloatTexts, _long_csv_text
 from .rca import AdvantageMatrix, diversity, ubiquity
 
 MODES = ("fields", "countries")
@@ -112,11 +111,10 @@ def proximity_csv_text(net: ProximityNetwork) -> str:
     weights included, so the matrix can be reconstructed from the file.
     """
     order = sorted(range(len(net.nodes)), key=net.nodes.__getitem__)
+    names = [net.nodes[i] for i in order]
     by_name = net.weights[np.ix_(order, order)]
-    return _long_csv_text(
-        "node_a,node_b,weight",
-        net.nodes,
-        net.nodes,
-        itertools.combinations(order, 2),
-        [repr(float(w)) for w in by_name[np.triu_indices(len(order), 1)].tolist()],
-    )
+    weight = _FloatTexts()
+    return _long_csv_text("node_a,node_b,weight", (
+        (name, names[k + 1:], map(weight.__getitem__, by_name[k, k + 1:].tolist()))
+        for k, name in enumerate(names)
+    ))

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rcaspace import IndexKind, ProductionTable
+
+# Selected on CI with --hypothesis-profile=ci: a failing example is printed
+# as a blob that @reproduce_failure replays, since CI keeps no example database.
+settings.register_profile("ci", print_blob=True)
 
 
 def pytest_runtest_logreport(report):

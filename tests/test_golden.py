@@ -12,7 +12,7 @@ import unicodedata
 
 import numpy as np
 
-from rcaspace import IndexKind
+from rcaspace import IndexKind, ProductionTable
 from rcaspace.cli import main
 from rcaspace.ingest import (
     BLOCK_ROWS,
@@ -34,6 +34,7 @@ from rcaspace.rca import compute_rca, threshold_advantage
 DEMO_TREE_SHA256 = "c197f13e36700362087234eb488a5d21d1d8fa6a7abd81cee17c84b4f1da4432"
 TINY_SHA256 = "d310f9c440ec59e4c906d9e0f3a9bc76b0203d7775fc3c2afb041c5e48de24fa"
 MULTI_BLOCK_SHA256 = "3ec527c1df45ad4d5288e77513991861923b82ef91be4edf58f7dfa17a51b3e0"
+LARGE_SHA256 = "6ab0f91b9110c1a3f15fb2cf22f63a892e28ad3d7ceea667cead3da021dfeb05"
 
 # Names that need CSV quoting (comma, double quote) and NFC normalization
 # (the accents are written decomposed and must come out composed).
@@ -162,3 +163,44 @@ def test_multi_block_long_csv():
         json.dumps([table.countries, table.fields]).encode("utf-8") + table.values.tobytes()
     )
     assert digest.hexdigest() == MULTI_BLOCK_SHA256
+
+
+def _large_table():
+    """A 72 x 40 table built from a fixed formula, without RNG.
+
+    Its networks have 780 and 2556 node pairs.  The names need CSV, XML, DOT
+    and JSON escaping, some are non-ASCII or NFD, and the counts repeat, have
+    zeros and have fractional cells.
+    """
+    marks = (",", '"', "<", ">", "&", "'", "\\", "\u00e9", "e\u0301", "\u4e2d", "")
+    countries = tuple(f"Country {c}{marks[c % len(marks)]}" for c in range(72))
+    fields = tuple(f"Field{marks[(3 * f) % len(marks)]} {f}" for f in range(40))
+    values = np.array([
+        [((7 * c + 11 * f + c * f) % 23) * (1 + (c + f) % 4) if (c + 2 * f) % 9 else 0
+         for f in range(40)] for c in range(72)
+    ], dtype=float)
+    values[::5, ::7] += 0.25
+    return ProductionTable(IndexKind.CITATIONS, countries, fields, values)
+
+
+def test_large_tables_and_networks():
+    table = _large_table()
+    rca = compute_rca(table)
+    adv = threshold_advantage(rca)
+    digest = hashlib.sha256()
+    for text in (production_csv_text(table),
+                 matrix_csv_text(rca.countries, rca.fields, rca.values),
+                 matrix_csv_text(adv.countries, adv.fields, adv.m.astype(int))):
+        digest.update(text.encode("utf-8"))
+    kept = 0
+    for net in (field_proximity(adv, table.field_totals()),
+                country_proximity(adv, table.country_totals())):
+        assert len(net.nodes) * (len(net.nodes) - 1) // 2 > 100
+        digest.update(proximity_csv_text(net).encode("utf-8"))
+        for threshold in (0.0, 0.4):
+            layout = build_layout(net, threshold)
+            kept += len(layout.edges)
+            for fmt in FORMATS:
+                digest.update(emit(layout, fmt))
+    assert kept > 2000
+    assert digest.hexdigest() == LARGE_SHA256

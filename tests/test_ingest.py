@@ -483,7 +483,9 @@ def _assert_same(result, expected):
 def _source_kinds(text, path):
     """Per source kind: a fresh source, and the stream the per-row core reads it as.
 
-    A file splits lines at a bare carriage return, a ``StringIO`` does not.
+    A file, a binary stream and a text stream that cannot seek split lines at
+    a bare carriage return; a ``StringIO`` made with the default newline does
+    not.
     """
     data = text.encode("utf-8")
     path.write_bytes(data)
@@ -494,7 +496,7 @@ def _source_kinds(text, path):
     return [
         (lambda: path, lambda: open(path, encoding="utf-8", newline="")),
         (lambda: io.StringIO(text), lambda: io.StringIO(text)),
-        (lambda: io.BytesIO(data), lambda: io.StringIO(text)),
+        (lambda: io.BytesIO(data), lambda: io.StringIO(text, newline="")),
         (unseekable, unseekable),
     ]
 
@@ -517,9 +519,8 @@ class TestBlockReader:
         expected = _table_or_error(lambda: _per_row_core(io.StringIO(text)))
         if blocks is not None:
             _assert_same(blocks, expected)
-        elif not isinstance(expected, str):
-            # the core accepted it, so only an all-blank row declined the blocks
-            assert any(row and not "".join(row).strip() for row in csv.reader(io.StringIO(text)))
+        else:  # the blocks decline only what the core rejects
+            assert isinstance(expected, str), expected
         return expected
 
     @settings(max_examples=300, deadline=None)
@@ -571,5 +572,43 @@ class TestBlockReader:
         with mock.patch.object(ingest, "BLOCK_ROWS", 2):
             blocks = ingest._long_table_in_blocks(csv.reader(io.StringIO(text)),
                                                   IndexKind.DOCUMENTS)
-        # a blank line is dropped in the blocks; a row of blank cells declines them
-        assert (blocks is None) == bool(blank_row)
+        # blank lines and rows of blank cells are dropped in the blocks
+        assert blocks is not None
+
+
+class TestSourceKinds:
+    """One text parses the same way from every kind of source."""
+
+    @staticmethod
+    def sources(text, path):
+        data = text.encode("utf-8")
+        path.write_bytes(data)
+        return {
+            "path": lambda: path,
+            "binary file": lambda: open(path, "rb"),
+            "BytesIO": lambda: io.BytesIO(data),
+            "unseekable bytes": lambda: _Unseekable(data),
+            "unseekable text": lambda: io.TextIOWrapper(_Unseekable(data), encoding="utf-8",
+                                                        newline=""),
+            "StringIO with newline=''": lambda: io.StringIO(text, newline=""),
+        }
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_production_csv, "country,field,value\nA,Mth,1\rB,Mth,2"),
+        (parse_production_csv, "country,field,value\r\nA,Mth,1\rB,Mth,2\r\n"),
+        (parse_production_wide_csv, "country,Mth\rA,1\rB,2\n"),
+    ])
+    def test_bare_carriage_return_ends_a_row(self, tmp_path, parse, text):
+        for kind, source in self.sources(text, tmp_path / "t.csv").items():
+            opened = source()
+            try:
+                table = parse(opened, IndexKind.DOCUMENTS)
+            finally:
+                if hasattr(opened, "close"):
+                    opened.close()
+            assert table.countries == ("A", "B"), kind
+            assert table.values.tolist() == [[1.0], [2.0]], kind
+
+    def test_default_string_io_keeps_a_bare_carriage_return(self):
+        with pytest.raises(DataError, match="new-line character seen in unquoted field"):
+            parse("country,field,value\nA,Mth,1\rB,Mth,2")
