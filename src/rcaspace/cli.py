@@ -2,8 +2,8 @@
 
 Subcommands map one-to-one onto the independently reproducible artifacts
 (``rca``, ``proximity``, ``stats``, ``network``, ``report``) plus ``demo``,
-which materializes a bundled synthetic dataset and analyzes it, so the tool
-can be exercised with zero external data.
+which materializes a bundled synthetic dataset, analyzes it and prints a
+digest, so the tool can be exercised with zero external data.
 
 Exit codes: 0 success, 2 I/O failure, 3 data validation failure, 64 usage.
 All outputs are written atomically (temp file + rename) and contain no
@@ -35,7 +35,8 @@ from .ingest import (
 )
 from .netexport import DEFAULT_THRESHOLD, FORMATS, build_layout, emit
 from .proximity import MODES, country_proximity, field_proximity, proximity_csv_text
-from .report import AnalysisReport, IndexAnalysis, analyze_index, build_report, sha256_file
+from .report import (AnalysisReport, IndexAnalysis, analyze_index, build_report,
+                     correlation_pairs, sha256_file)
 from .stats import QUARTILE_RULES
 
 EXIT_OK = 0
@@ -243,20 +244,35 @@ def cmd_report(cfg: RunConfig) -> _LoadedDataset:
     return data
 
 
-def cmd_demo(args: argparse.Namespace) -> None:
-    out = Path(args.out)
-    manifest_path = write_demo_dataset(out / "data")
-    cfg = RunConfig(
-        manifest=manifest_path,
-        out=out / "analysis",
-        threshold=args.threshold,
-        quartile_rule=args.quartile_rule,
-        joint_cells=args.joint_cells,
-        formats=tuple(dict.fromkeys(args.format)) if args.format else ("json", "svg"),
-    )
-    cmd_report(cfg)
-    print(f"demo dataset: {manifest_path}")
+#: How many of the most diverse countries and most ubiquitous fields the demo prints.
+DEMO_TOP = 5
+
+
+def cmd_demo(cfg: RunConfig) -> None:
+    """Write the bundled dataset to ``cfg.manifest``'s directory, report on it, print a digest."""
+    write_demo_dataset(cfg.manifest.parent)
+    data = cmd_report(cfg)
+    print(f"\ndataset: {data.dataset_name} ({data.period})")
+    print(f"{'index':24s}  {'median RCA':>10s}  {'mean RCA':>9s}  skew")
+    for a in data.analyses:
+        print(f"{a.kind.value:24s}  {a.summary.median:10.3f}  {a.summary.mean:9.3f}  {a.skew_class}")
+    print("\ncross-index Pearson correlations of RCA values:")
+    for pair in correlation_pairs(data.analyses):
+        print(f"  {pair['a']} ~ {pair['b']}: r = {pair['r']:+.3f}")
+    first = data.analyses[0]
+    print(f"\nmost diverse countries ({first.kind.value}):")
+    _print_top(first.table.countries, first.diversity, "Div")
+    print(f"most ubiquitous fields ({first.kind.value}):")
+    _print_top(first.table.fields, first.ubiquity, "Ubi")
+    print(f"\ndemo dataset: {cfg.manifest}")
     print(f"analysis: {cfg.out}")
+
+
+def _print_top(names: tuple[str, ...], counts, label: str) -> None:
+    # aligned names are in name order and sorted() is stable, so ties print in name order
+    counts = counts.tolist()
+    for i in sorted(range(len(names)), key=lambda i: -counts[i])[:DEMO_TOP]:
+        print(f"  {names[i]:16s}  {label} = {counts[i]}")
 
 
 def _echo_written(out: Path, names: list[str], warnings_seen: list[str]) -> None:
@@ -328,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="run the full pipeline into one report")
     _add_pipeline_options(p_report)
 
-    p_demo = sub.add_parser("demo", help="materialize the bundled dataset and analyze it")
+    p_demo = sub.add_parser("demo", help="write the bundled dataset, report on it, print a digest")
     _add_pipeline_options(p_demo, with_manifest=False)
     p_demo.set_defaults(out="rcaspace-demo")
 
@@ -341,15 +357,19 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     indexes = None
     if getattr(args, "index", None):
         indexes = tuple(dict.fromkeys(IndexKind.parse(k) for k in args.index))
-    formats = tuple(dict.fromkeys(args.format)) if args.format else ("json",)
+    out = Path(args.out)
+    if args.command == "demo":
+        manifest, out, formats = out / "data" / "manifest.json", out / "analysis", ("json", "svg")
+    else:
+        manifest, formats = Path(args.manifest), ("json",)
     return RunConfig(
-        manifest=Path(args.manifest),
-        out=Path(args.out),
+        manifest=manifest,
+        out=out,
         indexes=indexes,
         threshold=args.threshold,
         quartile_rule=args.quartile_rule,
         joint_cells=args.joint_cells,
-        formats=formats,
+        formats=tuple(dict.fromkeys(args.format)) if args.format else formats,
     )
 
 
@@ -357,22 +377,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "demo":
-            if not 0.0 <= args.threshold <= 1.0:
-                raise DataError(f"--threshold must be in [0, 1], got {args.threshold}")
-            cmd_demo(args)
-        else:
-            cfg = _config_from_args(args)
-            if args.command == "rca":
-                cmd_rca(cfg)
-            elif args.command == "proximity":
-                cmd_proximity(cfg, args.mode)
-            elif args.command == "network":
-                cmd_network(cfg, args.mode)
-            elif args.command == "stats":
-                cmd_stats(cfg)
-            elif args.command == "report":
-                cmd_report(cfg)
+        cfg = _config_from_args(args)
+        if args.command == "rca":
+            cmd_rca(cfg)
+        elif args.command == "proximity":
+            cmd_proximity(cfg, args.mode)
+        elif args.command == "network":
+            cmd_network(cfg, args.mode)
+        elif args.command == "stats":
+            cmd_stats(cfg)
+        elif args.command == "report":
+            cmd_report(cfg)
+        elif args.command == "demo":
+            cmd_demo(cfg)
         return EXIT_OK
     except DataError as exc:
         print(f"rcaspace: error: {exc}", file=sys.stderr)

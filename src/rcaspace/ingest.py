@@ -120,6 +120,17 @@ FIELD_LABELS = LabelRegistry(
 )
 
 
+def frozen(values, dtype) -> np.ndarray:
+    """A read-only, C-contiguous copy of ``values`` as ``dtype``, made in one copy.
+
+    Every array a result dataclass stores passes through here, so no caller
+    can change an object after construction by writing to its own array.
+    """
+    arr = np.array(values, dtype=dtype, order="C")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class ProductionTable:
     """A dense non-negative country x field matrix for one production index."""
@@ -132,7 +143,7 @@ class ProductionTable:
     def __post_init__(self) -> None:
         countries = tuple(self.countries)
         fields = tuple(self.fields)
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        values = frozen(self.values, np.float64)
         if values.shape != (len(countries), len(fields)):
             raise DataError(
                 f"value matrix shape {values.shape} does not match "
@@ -146,8 +157,6 @@ class ProductionTable:
             raise DataError("duplicate country names")
         if len(set(fields)) != len(fields):
             raise DataError("duplicate field names")
-        values = values.copy()
-        values.setflags(write=False)
         object.__setattr__(self, "countries", countries)
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "values", values)
@@ -167,9 +176,6 @@ class ProductionTable:
 
     def field_totals(self) -> np.ndarray:
         return self.values.sum(axis=0)
-
-    def grand_total(self) -> float:
-        return float(self.values.sum())
 
 
 def _open_text(source: Source) -> ContextManager[IO[str]]:

@@ -14,7 +14,6 @@ DOT, GraphML, JSON, CSV and SVG output.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -49,7 +48,9 @@ class NetworkLayout:
 
     Node arrays are aligned with ``nodes``, which is ordered by ascending
     strength (ties broken lexicographically).  ``ring`` holds "inner" or
-    "outer"; ``angle`` is in radians, counterclockwise from angle 0.
+    "outer"; ``angle`` is in radians, counterclockwise from angle 0.  Both
+    ends of every edge must be nodes (DataError otherwise), so that every
+    emitter can draw every edge.
     """
 
     mode: str
@@ -60,6 +61,11 @@ class NetworkLayout:
     angle: np.ndarray
     radius: np.ndarray
     edges: tuple[Edge, ...]  # (a, b, weight), a < b, sorted lexicographically
+
+    def __post_init__(self) -> None:
+        strays = {end for a, b, _ in self.edges for end in (a, b)}.difference(self.nodes)
+        if strays:
+            raise DataError(f"edge end(s) not among the nodes: {sorted(strays)}")
 
 
 #: Networks with at most this many node pairs (14 nodes) list their edges in
@@ -266,24 +272,6 @@ def _emit_json(layout: NetworkLayout) -> str:
     edges = [f'{{"a":{quoted[a]},"b":{quoted[b]},"weight":{number[w]}}}'
              for a, b, w in layout.edges]
     return '{"nodes":[' + ",".join(nodes) + '],"edges":[' + ",".join(edges) + "]}"
-
-
-def layout_from_json(data: bytes | str) -> NetworkLayout:
-    """Rebuild a NetworkLayout from the JSON emitted by :func:`emit`."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    doc = json.loads(data)
-    nodes = [item["id"] for item in doc["nodes"]]
-    return NetworkLayout(
-        mode="fields",
-        nodes=tuple(nodes),
-        strength=np.array([item["strength"] for item in doc["nodes"]]),
-        volume=np.array([item["volume"] for item in doc["nodes"]]),
-        ring=tuple(item["ring"] for item in doc["nodes"]),
-        angle=np.array([item["angle"] for item in doc["nodes"]]),
-        radius=np.array([item["radius"] for item in doc["nodes"]]),
-        edges=tuple((e["a"], e["b"], float(e["weight"])) for e in doc["edges"]),
-    )
 
 
 def _emit_csv(layout: NetworkLayout) -> str:

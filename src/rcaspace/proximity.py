@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .ingest import _FloatTexts, _long_csv_text
+from .ingest import _FloatTexts, _long_csv_text, frozen
 from .rca import AdvantageMatrix, diversity, ubiquity
 
 MODES = ("fields", "countries")
@@ -43,15 +43,10 @@ class ProximityNetwork:
         if self.mode not in MODES:
             raise DataError(f"unknown proximity mode {self.mode!r}")
         for name in ("weights", "node_strength", "node_volume"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen(getattr(self, name), np.float64))
         object.__setattr__(self, "nodes", tuple(self.nodes))
         if len(set(self.nodes)) != len(self.nodes):
             raise DataError("duplicate node names")
-
-    def n_nodes(self) -> int:
-        return len(self.nodes)
 
 
 def co_occurrence(adv: AdvantageMatrix, mode: str = "fields") -> np.ndarray:

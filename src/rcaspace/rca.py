@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, UndefinedCellWarning
-from .ingest import IndexKind, ProductionTable
+from .ingest import IndexKind, ProductionTable, frozen
 
 #: Comparative-advantage cutoff applied to RCA values (closed bound).
 ADVANTAGE_THRESHOLD = 1.0
@@ -36,11 +36,8 @@ class RcaMatrix:
     defined_mask: np.ndarray  # bool, True where RCA is well-defined
 
     def __post_init__(self) -> None:
-        for name in ("values", "defined_mask"):
-            arr = getattr(self, name)
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "values", frozen(self.values, np.float64))
+        object.__setattr__(self, "defined_mask", frozen(self.defined_mask, bool))
 
     def n_undefined(self) -> int:
         return int((~self.defined_mask).sum())
@@ -59,14 +56,12 @@ class AdvantageMatrix:
     m: np.ndarray  # bool
 
     def __post_init__(self) -> None:
-        m = np.ascontiguousarray(self.m, dtype=bool)
+        m = frozen(self.m, bool)
         if m.shape != (len(self.countries), len(self.fields)):
             raise DataError(
                 f"advantage matrix shape {m.shape} does not match "
                 f"{len(self.countries)} countries x {len(self.fields)} fields"
             )
-        m = m.copy()
-        m.setflags(write=False)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "countries", tuple(self.countries))
         object.__setattr__(self, "fields", tuple(self.fields))

@@ -11,6 +11,44 @@ CITS_CSV = "country,field,value\nA,Mth,8\nA,Chm,1\nB,Mth,2\nB,Chm,12\n"
 H_CSV = "country,field,value\nA,Mth,5\nA,Chm,5\nB,Mth,4\nB,Chm,6\n"
 
 
+# What `rcaspace demo` prints after its artifact listing.  Tied entries of
+# the top-k lists print in name order.
+DEMO_SUMMARY = """\
+dataset: rcaspace-demo (1996-2011)
+index                     median RCA   mean RCA  skew
+documents                      0.747      1.001  right-skewed
+citations                      0.755      1.001  right-skewed
+self_citations                 0.831      1.000  right-skewed
+citations_per_document         0.777      1.000  right-skewed
+h_index                        0.874      0.999  symmetric
+
+cross-index Pearson correlations of RCA values:
+  documents ~ citations: r = -0.230
+  documents ~ self_citations: r = -0.015
+  documents ~ citations_per_document: r = +0.035
+  documents ~ h_index: r = -0.270
+  citations ~ self_citations: r = -0.106
+  citations ~ citations_per_document: r = -0.031
+  citations ~ h_index: r = +0.051
+  self_citations ~ citations_per_document: r = -0.181
+  self_citations ~ h_index: r = -0.003
+  citations_per_document ~ h_index: r = -0.111
+
+most diverse countries (documents):
+  Drumstan          Div = 12
+  Genovia           Div = 12
+  Krakozhia         Div = 12
+  Arcadia           Div = 11
+  Hyrkania          Div = 11
+most ubiquitous fields (documents):
+  Ert-PlnScn        Ubi = 7
+  CmpScn            Ubi = 6
+  DcsSci            Ubi = 6
+  Enr               Ubi = 6
+  Mdc               Ubi = 6
+"""
+
+
 def write_dataset(tmp_path, tables=None):
     tables = tables if tables is not None else {
         "documents": DOCS_CSV,
@@ -257,6 +295,14 @@ class TestDemoCommand:
         assert doc["warnings"] == []
         stdout = capsys.readouterr().out
         assert "demo dataset:" in stdout
+
+    def test_demo_prints_digest(self, tmp_path, capsys):
+        assert main(["demo", "--out", str(tmp_path)]) == EXIT_OK
+        listed, digest = capsys.readouterr().out.split("\n\n", 1)
+        analysis = tmp_path / "analysis"
+        assert sorted(listed.splitlines()) == sorted(str(p) for p in analysis.iterdir())
+        manifest = tmp_path / "data" / "manifest.json"
+        assert digest == DEMO_SUMMARY + f"\ndemo dataset: {manifest}\nanalysis: {analysis}\n"
 
     def test_demo_runs_are_reproducible(self, tmp_path):
         out_a = tmp_path / "a"

@@ -11,11 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcaspace import (
+    AdvantageMatrix,
     DataError,
     FIELD_LABELS,
     IndexKind,
     LabelRegistry,
     ProductionTable,
+    ProximityNetwork,
+    RcaMatrix,
     UnknownFieldWarning,
     parse_production_csv,
     parse_production_wide_csv,
@@ -379,6 +382,35 @@ class TestProductionTableInvariants:
         table = make_table([[1.0]])
         with pytest.raises(ValueError):
             table.values[0, 0] = 5.0
+
+
+NAMES = ("A", "B")
+GRID = {"countries": NAMES, "fields": NAMES}
+
+
+@pytest.mark.parametrize("cls, scalars, arrays", [
+    pytest.param(ProductionTable, {"index_kind": IndexKind.DOCUMENTS, **GRID},
+                 {"values": [[1.0, 2.0], [3.0, 0.5]]}, id="ProductionTable"),
+    pytest.param(RcaMatrix, {"index_kind": IndexKind.DOCUMENTS, **GRID},
+                 {"values": [[1.5, 0.0], [0.5, 1.0]], "defined_mask": [[True, False], [True, True]]},
+                 id="RcaMatrix"),
+    pytest.param(AdvantageMatrix, GRID, {"m": [[True, False], [False, True]]}, id="AdvantageMatrix"),
+    pytest.param(ProximityNetwork, {"mode": "fields", "nodes": NAMES},
+                 {"weights": [[1.0, 0.5], [0.5, 1.0]], "node_strength": [0.5, 0.5],
+                  "node_volume": [3.0, 4.0]}, id="ProximityNetwork"),
+])
+def test_stored_arrays_are_frozen_copies(cls, scalars, arrays):
+    """Every stored array is read-only and owned: the caller's array, already
+    of the stored dtype, can change after construction without changing the object."""
+    callers = {name: np.array(value) for name, value in arrays.items()}
+    obj = cls(**scalars, **callers)
+    for name, theirs in callers.items():
+        stored = getattr(obj, name)
+        assert not stored.flags.writeable, name
+        assert not np.shares_memory(stored, theirs), name
+        before = stored.copy()
+        theirs[...] = np.logical_not(theirs)
+        assert np.array_equal(stored, before), name
 
 
 # Base names, each with the spellings a file may use for it: quoting needs,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -16,7 +17,7 @@ from rcaspace import (
     order_nodes,
     size_nodes,
 )
-from rcaspace.netexport import PYTHON_LISTING_MAX_PAIRS, layout_from_json
+from rcaspace.netexport import PYTHON_LISTING_MAX_PAIRS
 
 from .oracles import reference_backbone
 
@@ -271,6 +272,11 @@ class TestBuildLayout:
         layout = build_layout(net, threshold=0.5)
         assert layout.edges == tuple(backbone(net, 0.5))
 
+    def test_edge_ends_must_be_nodes(self):
+        layout = build_layout(triangle(), threshold=0.0)
+        with pytest.raises(DataError, match="'Z'"):
+            dataclasses.replace(layout, edges=layout.edges + (("A", "Z", 0.5),))
+
 
 class TestEmit:
     def empty_layout(self):
@@ -293,13 +299,14 @@ class TestEmit:
 
     def test_json_round_trip(self):
         layout = build_layout(triangle(w_ab=1 / 3, w_bc=2 / 7), threshold=0.0)
-        rebuilt = layout_from_json(emit(layout, "json"))
-        assert rebuilt.nodes == layout.nodes
-        assert rebuilt.ring == layout.ring
-        assert rebuilt.edges == layout.edges  # repr round-trips floats exactly
-        assert np.array_equal(rebuilt.strength, layout.strength)
-        assert np.array_equal(rebuilt.angle, layout.angle)
-        assert np.array_equal(rebuilt.radius, layout.radius)
+        doc = json.loads(emit(layout, "json"))
+        nodes = doc["nodes"]
+        assert tuple(node["id"] for node in nodes) == layout.nodes
+        assert tuple(node["ring"] for node in nodes) == layout.ring
+        for key in ("strength", "volume", "angle", "radius"):
+            # repr round-trips floats exactly
+            assert [node[key] for node in nodes] == getattr(layout, key).tolist(), key
+        assert tuple((e["a"], e["b"], e["weight"]) for e in doc["edges"]) == layout.edges
 
     def test_json_schema(self):
         doc = json.loads(emit(build_layout(triangle()), "json"))

@@ -1,49 +1,14 @@
-"""End-to-end runs of the scripts on the bundled demo dataset.
+"""End-to-end runs of ``scripts/threshold_sweep.py`` on the bundled demo dataset.
 
-The scripts load data through the CLI's pipeline assembly
-(``cli._load_dataset``), so their numbers must match the CLI's.  Tied
-entries of run_demo's top-k lists print in name order.
+The script loads data through the CLI's pipeline assembly
+(``cli._load_dataset``), so its numbers must match the CLI's.  The demo's
+own digest is checked in ``test_cli.py``.
 """
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-
-DEMO_SUMMARY = """\
-dataset: rcaspace-demo (1996-2011)
-index                     median RCA   mean RCA  skew
-documents                      0.747      1.001  right-skewed
-citations                      0.755      1.001  right-skewed
-self_citations                 0.831      1.000  right-skewed
-citations_per_document         0.777      1.000  right-skewed
-h_index                        0.874      0.999  symmetric
-
-cross-index Pearson correlations of RCA values:
-  documents ~ citations: r = -0.230
-  documents ~ self_citations: r = -0.015
-  documents ~ citations_per_document: r = +0.035
-  documents ~ h_index: r = -0.270
-  citations ~ self_citations: r = -0.106
-  citations ~ citations_per_document: r = -0.031
-  citations ~ h_index: r = +0.051
-  self_citations ~ citations_per_document: r = -0.181
-  self_citations ~ h_index: r = -0.003
-  citations_per_document ~ h_index: r = -0.111
-
-most diverse countries (documents):
-  Drumstan          Div = 12
-  Genovia           Div = 12
-  Krakozhia         Div = 12
-  Arcadia           Div = 11
-  Hyrkania          Div = 11
-most ubiquitous fields (documents):
-  Ert-PlnScn        Ubi = 7
-  CmpScn            Ubi = 6
-  DcsSci            Ubi = 6
-  Enr               Ubi = 6
-  Mdc               Ubi = 6
-"""
 
 SWEEP_FIELDS_DOCUMENTS = """\
 fields network of rcaspace-demo / documents: 27 nodes
@@ -79,14 +44,6 @@ def run_script(name, *args, code=0):
     )
     assert proc.returncode == code, proc.stderr
     return proc
-
-
-def test_run_demo(tmp_path):
-    stdout = run_script("run_demo.py", "--out", str(tmp_path)).stdout
-    listed, summary = stdout.split("\n\n", 1)
-    analysis = tmp_path / "analysis"
-    assert sorted(listed.splitlines()) == sorted(str(p) for p in analysis.iterdir())
-    assert summary == DEMO_SUMMARY + f"\nartifacts: {analysis}\n"
 
 
 def test_threshold_sweep_fields():
