@@ -35,8 +35,7 @@ from .ingest import (
 )
 from .netexport import DEFAULT_THRESHOLD, FORMATS, build_layout, emit
 from .proximity import MODES, country_proximity, field_proximity, proximity_csv_text
-from .report import (AnalysisReport, IndexAnalysis, analyze_index, build_report,
-                     correlation_pairs, sha256_file)
+from .report import IndexAnalysis, analyze_index, build_report, correlation_pairs, sha256_file
 from .stats import QUARTILE_RULES
 
 EXIT_OK = 0
@@ -121,9 +120,11 @@ def _load_dataset(cfg: RunConfig) -> _LoadedDataset:
     for entry in entries:
         with warnings_module.catch_warnings(record=True) as caught:
             warnings_module.simplefilter("always")
-            table = resolve_labels(
-                parse_production_csv(entry.resolved, entry.index), FIELD_LABELS
-            )
+            try:
+                table = parse_production_csv(entry.resolved, entry.index)
+            except DataError as exc:
+                raise DataError(f"{entry.path}: {exc}") from None
+            table = resolve_labels(table, FIELD_LABELS)
         collected.extend(f"{entry.index.value}: {w.message}" for w in caught)
         tables.append(table)
         inputs.append(
@@ -186,61 +187,45 @@ def _write_networks(cfg: RunConfig, data: _LoadedDataset, mode: str,
     return written
 
 
-def _full_report(cfg: RunConfig, data: _LoadedDataset, proximity_files: list[str]) -> AnalysisReport:
-    return build_report(
-        dataset_name=data.dataset_name,
-        period=data.period,
-        analyses=data.analyses,
-        config=cfg.as_dict(),
-        inputs=data.inputs,
-        proximity_exports=proximity_files,
-        warnings_seen=data.warnings,
-        joint_cells=cfg.joint_cells,
-    )
+#: The summary files each command writes after its artifacts, from one report.
+SUMMARIES = {
+    "rca": ("rca_summary.json",),
+    "proximity": ("proximity_summary.json",),
+    "network": (),
+    "stats": ("stats.json", "stats.txt"),
+    "report": ("report.json", "report.txt"),
+}
 
 
-def cmd_rca(cfg: RunConfig) -> None:
+def run(cfg: RunConfig, command: str, mode: str | None = None) -> _LoadedDataset:
+    """Load the dataset and write what ``command`` makes of it.
+
+    ``rca`` and ``report`` write the RCA and advantage matrices; ``proximity``
+    and ``network`` write the networks of ``mode`` (with the proximity
+    matrices, except for ``network``), and ``report`` those of both modes;
+    then come the command's ``SUMMARIES``.
+    """
     data = _load_dataset(cfg)
-    written = _write_rca_csvs(cfg, data)
-    report = _full_report(cfg, data, [])
-    _write_text(cfg.out / "rca_summary.json", report.to_json())
-    _echo_written(cfg.out, written + ["rca_summary.json"], data.warnings)
-
-
-def cmd_proximity(cfg: RunConfig, mode: str) -> None:
-    data = _load_dataset(cfg)
-    written = _write_networks(cfg, data, mode, include_matrix_csv=True)
-    report = _full_report(cfg, data, [n for n in written if n.startswith("proximity_")])
-    _write_text(cfg.out / "proximity_summary.json", report.to_json())
-    _echo_written(cfg.out, written + ["proximity_summary.json"], data.warnings)
-
-
-def cmd_network(cfg: RunConfig, mode: str) -> None:
-    data = _load_dataset(cfg)
-    written = _write_networks(cfg, data, mode, include_matrix_csv=False)
-    _echo_written(cfg.out, written, data.warnings)
-
-
-def cmd_stats(cfg: RunConfig) -> None:
-    data = _load_dataset(cfg)
-    report = _full_report(cfg, data, [])
-    _write_text(cfg.out / "stats.json", report.to_json())
-    _write_text(cfg.out / "stats.txt", report.to_text())
-    _echo_written(cfg.out, ["stats.json", "stats.txt"], data.warnings)
-
-
-def cmd_report(cfg: RunConfig) -> _LoadedDataset:
-    data = _load_dataset(cfg)
-    written = _write_rca_csvs(cfg, data)
-    proximity_files: list[str] = []
-    for mode in MODES:
-        names = _write_networks(cfg, data, mode, include_matrix_csv=True)
-        proximity_files.extend(n for n in names if n.startswith("proximity_"))
-        written.extend(names)
-    report = _full_report(cfg, data, proximity_files)
-    _write_text(cfg.out / "report.json", report.to_json())
-    _write_text(cfg.out / "report.txt", report.to_text())
-    _echo_written(cfg.out, written + ["report.json", "report.txt"], data.warnings)
+    written = _write_rca_csvs(cfg, data) if command in ("rca", "report") else []
+    modes = MODES if command == "report" else (mode,) if mode else ()
+    for m in modes:
+        written += _write_networks(cfg, data, m, include_matrix_csv=command != "network")
+    summaries = SUMMARIES[command]
+    if summaries:
+        report = build_report(
+            dataset_name=data.dataset_name,
+            period=data.period,
+            analyses=data.analyses,
+            config=cfg.as_dict(),
+            inputs=data.inputs,
+            proximity_exports=[n for n in written if n.startswith("proximity_")],
+            warnings_seen=data.warnings,
+            joint_cells=cfg.joint_cells,
+        )
+        for name in summaries:
+            _write_text(cfg.out / name,
+                        report.to_json() if name.endswith(".json") else report.to_text())
+    _echo_written(cfg.out, written + list(summaries), data.warnings)
     return data
 
 
@@ -251,7 +236,7 @@ DEMO_TOP = 5
 def cmd_demo(cfg: RunConfig) -> None:
     """Write the bundled dataset to ``cfg.manifest``'s directory, report on it, print a digest."""
     write_demo_dataset(cfg.manifest.parent)
-    data = cmd_report(cfg)
+    data = run(cfg, "report")
     print(f"\ndataset: {data.dataset_name} ({data.period})")
     print(f"{'index':24s}  {'median RCA':>10s}  {'mean RCA':>9s}  skew")
     for a in data.analyses:
@@ -378,18 +363,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        if args.command == "rca":
-            cmd_rca(cfg)
-        elif args.command == "proximity":
-            cmd_proximity(cfg, args.mode)
-        elif args.command == "network":
-            cmd_network(cfg, args.mode)
-        elif args.command == "stats":
-            cmd_stats(cfg)
-        elif args.command == "report":
-            cmd_report(cfg)
-        elif args.command == "demo":
+        if args.command == "demo":
             cmd_demo(cfg)
+        else:
+            run(cfg, args.command, getattr(args, "mode", None))
         return EXIT_OK
     except DataError as exc:
         print(f"rcaspace: error: {exc}", file=sys.stderr)

@@ -222,6 +222,8 @@ def _csv_rows(stream: IO[str]) -> _Rows:
                 yield reader.line_num, row
     except csv.Error as exc:
         raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:  # a file decoded as it is read
+        raise DataError(f"input is not valid UTF-8: {exc}") from None
 
 
 def _table_from_cells(cells: Iterable[tuple[int, str, str, str]],
@@ -467,30 +469,17 @@ def validate_alignment(tables: Sequence[ProductionTable]) -> list[ProductionTabl
     return aligned
 
 
-class _Memo(dict):
-    """A dict that fills in a missing key with ``fmt(key)``, the key's text.
+class _FloatMemo(dict):
+    """A dict that fills in a missing value with ``fmt(float(value))``, its text.
 
-    A writer makes one per call, so it formats each distinct name or value
-    once.  The types made by :func:`_memo` set ``fmt``; making a memo costs
-    no more than making a dict.
+    A writer makes one per call, so it formats each distinct value once.  The
+    types made by :func:`_memo` set ``fmt``.  -0.0 == 0.0 would make them one
+    key, so a zero is formatted at each lookup and never kept; it keeps its
+    sign.
     """
 
     __slots__ = ()
-    fmt: Callable[[object], str]
-
-    def __missing__(self, key) -> str:
-        text = self[key] = self.fmt(key)
-        return text
-
-
-class _FloatMemo(_Memo):
-    """A memo of float texts: ``fmt(float(value))`` for each value looked up.
-
-    -0.0 == 0.0 would make them one key, so a zero is formatted at each
-    lookup and never kept; it keeps its sign.
-    """
-
-    __slots__ = ()
+    fmt: Callable[[float], str]
 
     def __missing__(self, value: float) -> str:
         text = self.fmt(float(value))
@@ -499,61 +488,37 @@ class _FloatMemo(_Memo):
         return text
 
 
-def _memo(fmt: Callable[[object], str], base: type[_Memo] = _Memo) -> type[_Memo]:
-    """The memo type whose missing keys get ``fmt(key)``."""
-    return type(base.__name__, (base,), {"__slots__": (), "fmt": staticmethod(fmt)})
+def _memo(fmt: Callable[[float], str]) -> type[_FloatMemo]:
+    """The float memo type whose missing values get ``fmt(float(value))``."""
+    return type("_FloatMemo", (_FloatMemo,), {"__slots__": (), "fmt": staticmethod(fmt)})
 
 
 #: weights written with the shortest ``repr`` that reads back the same float
-_FloatTexts = _memo(float.__repr__, _FloatMemo)
+_FloatTexts = _memo(float.__repr__)
 
 
-class _CsvHeads(_Memo):
-    """Each name as it starts a CSV cell: quoted if it must be, then a comma.
+def _csv_head(name: str) -> str:
+    """``name`` as it starts a CSV cell: quoted if it must be, then a comma.
 
     The only CSV quoting of the writers: a line ``a,b,value`` is
-    ``heads[a] + heads[b] + value``.
+    ``_csv_head(a) + _csv_head(b) + value``.
     """
-
-    __slots__ = ()
-
-    def __missing__(self, name: str) -> str:
-        if "," in name or '"' in name or "\n" in name or "\r" in name:
-            text = self[name] = '"' + name.replace('"', '""') + '",'
-        else:
-            text = self[name] = name + ","
-        return text
-
-
-class _CellTexts(_Memo):
-    """Matrix cell texts: integral cells as ints, the others with ``repr``.
-
-    Each distinct value is formatted once.  -0.0 and 0.0 are both written
-    "0", so they may share a key; an int64 above 2**53 is written from the
-    int itself.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, value) -> str:
-        text = self[value] = (str(int(value)) if float(value).is_integer()
-                              else repr(float(value)))
-        return text
+    if "," in name or '"' in name or "\n" in name or "\r" in name:
+        return '"' + name.replace('"', '""') + '",'
+    return name + ","
 
 
 def _long_csv_text(header: str, rows: Iterable[tuple[str, Iterable[str], Iterable[str]]]) -> str:
     """``header``, then the ``a,b,value`` lines of pairs grouped by their first name.
 
-    Each row ``(a, names_b, values)`` gives one line per name in ``names_b``,
-    all of them starting with ``a``; ``values`` come formatted.  Each
-    distinct name is quoted once, and a row is joined from the quoted pieces
-    without a format per line.
+    Each row ``(head_a, heads_b, values)`` gives one line per head in
+    ``heads_b``, all of them starting with ``head_a``; the heads come quoted
+    by :func:`_csv_head` and the values formatted, so a row is joined from
+    its pieces without a format per line.
     """
-    heads = _CsvHeads()
     lines = [header]
-    for a, names_b, values in rows:
-        head = heads[a]
-        body = ("\n" + head).join(map(add, map(heads.__getitem__, names_b), values))
+    for head, heads_b, values in rows:
+        body = ("\n" + head).join(map(add, heads_b, values))
         if body:
             lines.append(head + body)
     lines.append("")
@@ -565,15 +530,25 @@ def matrix_csv_text(countries: Iterable[str], fields: Iterable[str], values: np.
 
     All cells are written (zeros included) so that parsing the output
     reconstructs the exact same matrix; integral cells are written as
-    integers, the others with repr, so they round-trip bit-exactly.  Each
-    distinct cell value is formatted once.
+    integers, the others with repr, so they round-trip bit-exactly.  The
+    cells are formatted in one pass: integers from the ints themselves (so
+    an int64 above 2**53 stays exact), floats with ``repr``, after which the
+    finite integral floats, -0.0 among them, are rewritten as ints.
     """
-    countries, fields = tuple(countries), tuple(fields)
-    texts = list(map(_CellTexts().__getitem__, np.asarray(values).ravel().tolist()))
-    n_f = len(fields)
+    cells = np.asarray(values).ravel()
+    if cells.dtype == bool:
+        cells = cells.view(np.uint8)
+    texts = list(map(repr, cells.tolist()))
+    if cells.dtype.kind == "f":
+        integral = np.flatnonzero(np.isfinite(cells) & (np.trunc(cells) == cells))
+        for k, value in zip(integral.tolist(), cells[integral].tolist()):
+            texts[k] = str(int(value))
+    heads_f = list(map(_csv_head, fields))
+    n_f = len(heads_f)
     return _long_csv_text(
         "country,field,value",
-        ((country, fields, texts[i * n_f:(i + 1) * n_f]) for i, country in enumerate(countries)),
+        ((_csv_head(country), heads_f, texts[i * n_f:(i + 1) * n_f])
+         for i, country in enumerate(countries)),
     )
 
 
@@ -606,7 +581,7 @@ def load_manifest(path: str | Path) -> Manifest:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"manifest {path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise DataError(f"manifest {path}: expected a JSON object")

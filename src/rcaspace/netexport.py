@@ -23,7 +23,7 @@ from xml.sax.saxutils import escape, quoteattr
 import numpy as np
 
 from .errors import DataError
-from .ingest import _CsvHeads, _FloatMemo, _FloatTexts, _Memo, _memo
+from .ingest import _csv_head, _FloatTexts, _memo
 from .proximity import ProximityNetwork
 
 FORMATS = ("dot", "graphml", "json", "csv", "svg")
@@ -251,8 +251,7 @@ def _json_number(value: float) -> str:
     return _JSON_NON_FINITE.get(text, text)
 
 
-_JsonNames = _memo(encode_basestring_ascii)
-_JsonNumbers = _memo(_json_number, _FloatMemo)
+_JsonNumbers = _memo(_json_number)
 
 
 def _node_rows(layout: NetworkLayout) -> Iterator[tuple[str, float, float, str, float, float]]:
@@ -263,7 +262,8 @@ def _node_rows(layout: NetworkLayout) -> Iterator[tuple[str, float, float, str, 
 
 def _emit_json(layout: NetworkLayout) -> str:
     """What ``json.dumps`` writes for the layout, with separators "," and ":"."""
-    quoted, number = _JsonNames(), _JsonNumbers()
+    quoted = dict(zip(layout.nodes, map(encode_basestring_ascii, layout.nodes)))
+    number = _JsonNumbers()
     nodes = [
         f'{{"id":{quoted[name]},"strength":{number[s]},"volume":{number[v]},'
         f'"ring":{encode_basestring_ascii(r)},"angle":{number[t]},"radius":{number[d]}}}'
@@ -275,26 +275,18 @@ def _emit_json(layout: NetworkLayout) -> str:
 
 
 def _emit_csv(layout: NetworkLayout) -> str:
-    heads, weight = _CsvHeads(), _FloatTexts()
+    heads, weight = dict(zip(layout.nodes, map(_csv_head, layout.nodes))), _FloatTexts()
     lines = [heads[a] + heads[b] + weight[w] for a, b, w in layout.edges]
     return "\n".join(["node_a,node_b,weight", *lines, ""])
 
 
-class _DotNames(_Memo):
-    """Each name as a DOT string: in double quotes, with ``\\`` and ``"`` escaped."""
-
-    __slots__ = ()
-
-    def __missing__(self, name: str) -> str:
-        text = self[name] = '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
-        return text
-
-
-_XmlNames = _memo(quoteattr)
+def _dot_quote(name: str) -> str:
+    """``name`` as a DOT string: in double quotes, with ``\\`` and ``"`` escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _emit_dot(layout: NetworkLayout) -> str:
-    quoted, weight = _DotNames(), _FloatTexts()
+    quoted, weight = dict(zip(layout.nodes, map(_dot_quote, layout.nodes))), _FloatTexts()
     lines = ["graph proximity {"]
     for name, s, v, r, t, d in _node_rows(layout):
         lines.append(
@@ -318,7 +310,7 @@ _GRAPHML_KEYS = (
 
 
 def _emit_graphml(layout: NetworkLayout) -> str:
-    quoted, weight = _XmlNames(), _FloatTexts()
+    quoted, weight = dict(zip(layout.nodes, map(quoteattr, layout.nodes))), _FloatTexts()
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
@@ -360,7 +352,7 @@ def _svg_positions(layout: NetworkLayout) -> dict[str, tuple[float, float]]:
     return positions
 
 
-_SvgWidths = _memo(lambda w: f"{6.0 * w:.3f}", _FloatMemo)
+_SvgWidths = _memo(lambda w: f"{6.0 * w:.3f}")
 
 
 def _emit_svg(layout: NetworkLayout) -> str:

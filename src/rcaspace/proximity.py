@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .ingest import _FloatTexts, _long_csv_text, frozen
+from .ingest import _csv_head, _FloatTexts, _long_csv_text, frozen
 from .rca import AdvantageMatrix, diversity, ubiquity
 
 MODES = ("fields", "countries")
@@ -106,10 +106,10 @@ def proximity_csv_text(net: ProximityNetwork) -> str:
     weights included, so the matrix can be reconstructed from the file.
     """
     order = sorted(range(len(net.nodes)), key=net.nodes.__getitem__)
-    names = [net.nodes[i] for i in order]
+    heads = [_csv_head(net.nodes[i]) for i in order]
     by_name = net.weights[np.ix_(order, order)]
     weight = _FloatTexts()
     return _long_csv_text("node_a,node_b,weight", (
-        (name, names[k + 1:], map(weight.__getitem__, by_name[k, k + 1:].tolist()))
-        for k, name in enumerate(names)
+        (head, heads[k + 1:], map(weight.__getitem__, by_name[k, k + 1:].tolist()))
+        for k, head in enumerate(heads)
     ))

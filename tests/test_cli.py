@@ -140,6 +140,29 @@ class TestErrorContract:
         assert code == EXIT_DATA
         assert "empty production" in capsys.readouterr().err
 
+    def test_invalid_utf8_manifest_is_data_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(b'{"dataset_name": "\xff", "period": "p", "tables": []}')
+        code = main(["rca", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert f"manifest {manifest}: invalid JSON" in capsys.readouterr().err
+
+    def test_invalid_utf8_table_is_data_error(self, tmp_path, capsys):
+        manifest = write_dataset(tmp_path, {"documents": DOCS_CSV})
+        (tmp_path / "documents.csv").write_bytes(b"country,field,value\nA,M\xffth,1\n")
+        code = main(["rca", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert "documents.csv: input is not valid UTF-8" in capsys.readouterr().err
+
+    def test_table_error_names_file_and_line(self, tmp_path, capsys):
+        manifest = write_dataset(tmp_path, {
+            "documents": DOCS_CSV,
+            "citations": "country,field,value\nA,Mth,1\nB,Mth,-2\n",
+        })
+        code = main(["report", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert "rcaspace: error: citations.csv: negative value at line 3\n" in capsys.readouterr().err
+
     def test_bad_threshold_is_data_error(self, tmp_path):
         manifest = write_dataset(tmp_path, {"documents": DOCS_CSV})
         code = main(

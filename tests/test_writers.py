@@ -1,7 +1,8 @@
 """The text writers give the same bytes as the per-pair reference writers.
 
 The references in ``oracles.py`` format every pair and every edge on its own;
-the writers under test quote each name and format each distinct value once.
+the writers under test quote each name once per call, format each distinct
+weight once and format the cells of a matrix in one pass.
 """
 import unicodedata
 
@@ -87,17 +88,27 @@ CELLS = (0, -0.0, 0.0, 2**53 + 1, 1e16, 5e-324, 1.5, 1 / 3, 3.0, 2**63 - 1,
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 4), st.integers(0, 4), st.sampled_from(("float64", "int64", "bool")),
-       st.data())
+@given(st.integers(0, 4), st.integers(0, 4),
+       st.sampled_from(("float64", "float32", "int64", "int32", "uint64", "bool")), st.data())
 def test_matrix_csv_matches_reference(n_c, n_f, dtype, data):
     countries = data.draw(st.lists(names, min_size=n_c, max_size=n_c, unique=True))
     fields = data.draw(st.lists(names, min_size=n_f, max_size=n_f, unique=True))
     if dtype == "float64":
         cells = st.one_of(st.sampled_from([c for c in CELLS if isinstance(c, float)]),
                           st.floats(allow_nan=True, allow_infinity=True))
+    elif dtype == "float32":
+        cells = st.one_of(st.sampled_from((0.0, -0.0, 1.5, 1 / 3, 3.0, 2.0**24 + 2, 1e-45,
+                                           float("nan"), float("inf"))),
+                          st.floats(width=32, allow_nan=True, allow_infinity=True))
     elif dtype == "int64":
         cells = st.one_of(st.sampled_from((0, 1, 2**53 + 1, 2**63 - 1, -2**63, -5)),
                           st.integers(-2**63, 2**63 - 1))
+    elif dtype == "int32":
+        cells = st.one_of(st.sampled_from((0, 1, -5, 2**31 - 1, -2**31)),
+                          st.integers(-2**31, 2**31 - 1))
+    elif dtype == "uint64":
+        cells = st.one_of(st.sampled_from((0, 1, 2**53 + 1, 2**63, 2**63 + 1, 2**64 - 1)),
+                          st.integers(0, 2**64 - 1))
     else:
         cells = st.booleans()
     values = np.array(data.draw(st.lists(cells, min_size=n_c * n_f, max_size=n_c * n_f)),
