@@ -123,12 +123,56 @@ FIELD_LABELS = LabelRegistry(
 def frozen(values, dtype) -> np.ndarray:
     """A read-only, C-contiguous copy of ``values`` as ``dtype``, made in one copy.
 
-    Every array a result dataclass stores passes through here, so no caller
-    can change an object after construction by writing to its own array.
+    Every array a public constructor of a result dataclass stores passes
+    through here, so no caller can change an object after construction by
+    writing to its own array.
     """
     arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
+
+
+def _check_grid(arr: np.ndarray, countries: Sequence, fields: Sequence, what: str) -> np.ndarray:
+    """``arr``, after checking that it has a row per country and a column per field."""
+    if arr.shape != (len(countries), len(fields)):
+        raise DataError(
+            f"{what} shape {arr.shape} does not match "
+            f"{len(countries)} countries x {len(fields)} fields"
+        )
+    return arr
+
+
+def freeze_grid(obj, **dtypes) -> None:
+    """Store ``obj``'s countries and fields as tuples, and each array named in
+    ``dtypes`` as ``frozen`` of that dtype with a row per country and a
+    column per field (DataError otherwise).
+
+    For the ``__post_init__`` of a frozen result dataclass.
+    """
+    countries, fields = tuple(obj.countries), tuple(obj.fields)
+    object.__setattr__(obj, "countries", countries)
+    object.__setattr__(obj, "fields", fields)
+    for name, dtype in dtypes.items():
+        arr = frozen(getattr(obj, name), dtype)
+        what = f"{type(obj).__name__}.{name}"
+        object.__setattr__(obj, name, _check_grid(arr, countries, fields, what))
+
+
+def _owned(cls, *values):
+    """A ``cls`` holding ``values`` as they are, without running ``__post_init__``.
+
+    For results the library has just computed: the arrays are its own, so
+    they are frozen in place with no copy, and each check of the public
+    constructor already holds by construction.  A check that does not hold
+    by construction is the caller's to make.
+    """
+    obj = object.__new__(cls)
+    stored = vars(obj)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        stored[name] = value
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,25 +185,15 @@ class ProductionTable:
     values: np.ndarray  # shape (len(countries), len(fields)), float64
 
     def __post_init__(self) -> None:
-        countries = tuple(self.countries)
-        fields = tuple(self.fields)
-        values = frozen(self.values, np.float64)
-        if values.shape != (len(countries), len(fields)):
-            raise DataError(
-                f"value matrix shape {values.shape} does not match "
-                f"{len(countries)} countries x {len(fields)} fields"
-            )
-        if not np.all(np.isfinite(values)):
+        freeze_grid(self, values=np.float64)
+        if not np.all(np.isfinite(self.values)):
             raise DataError("production table contains a non-finite value")
-        if values.size and values.min() < 0:
+        if self.values.size and self.values.min() < 0:
             raise DataError("production table contains a negative value")
-        if len(set(countries)) != len(countries):
+        if len(set(self.countries)) != len(self.countries):
             raise DataError("duplicate country names")
-        if len(set(fields)) != len(fields):
+        if len(set(self.fields)) != len(self.fields):
             raise DataError("duplicate field names")
-        object.__setattr__(self, "countries", countries)
-        object.__setattr__(self, "fields", fields)
-        object.__setattr__(self, "values", values)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProductionTable):
@@ -534,8 +568,10 @@ def matrix_csv_text(countries: Iterable[str], fields: Iterable[str], values: np.
     cells are formatted in one pass: integers from the ints themselves (so
     an int64 above 2**53 stays exact), floats with ``repr``, after which the
     finite integral floats, -0.0 among them, are rewritten as ints.
+    ``values`` must have a row per country and a column per field.
     """
-    cells = np.asarray(values).ravel()
+    heads_c, heads_f = list(map(_csv_head, countries)), list(map(_csv_head, fields))
+    cells = _check_grid(np.asarray(values), heads_c, heads_f, "matrix").ravel()
     if cells.dtype == bool:
         cells = cells.view(np.uint8)
     texts = list(map(repr, cells.tolist()))
@@ -543,12 +579,10 @@ def matrix_csv_text(countries: Iterable[str], fields: Iterable[str], values: np.
         integral = np.flatnonzero(np.isfinite(cells) & (np.trunc(cells) == cells))
         for k, value in zip(integral.tolist(), cells[integral].tolist()):
             texts[k] = str(int(value))
-    heads_f = list(map(_csv_head, fields))
     n_f = len(heads_f)
     return _long_csv_text(
         "country,field,value",
-        ((_csv_head(country), heads_f, texts[i * n_f:(i + 1) * n_f])
-         for i, country in enumerate(countries)),
+        ((head, heads_f, texts[i * n_f:(i + 1) * n_f]) for i, head in enumerate(heads_c)),
     )
 
 

@@ -173,10 +173,15 @@ def backbone(net: ProximityNetwork, threshold: float = DEFAULT_THRESHOLD) -> lis
     return _backbone_in_numpy(net.nodes, net.weights, threshold)
 
 
+def _strength_order(net: ProximityNetwork) -> list[int]:
+    """Node indexes by ascending strength, ties broken by name."""
+    keys = list(zip(net.node_strength.tolist(), net.nodes))
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
 def order_nodes(net: ProximityNetwork) -> tuple[str, ...]:
     """Node names by ascending strength, ties broken lexicographically."""
-    strength = {name: float(net.node_strength[i]) for i, name in enumerate(net.nodes)}
-    return tuple(sorted(net.nodes, key=lambda name: (strength[name], name)))
+    return tuple(map(net.nodes.__getitem__, _strength_order(net)))
 
 
 def size_nodes(net: ProximityNetwork,
@@ -204,29 +209,19 @@ def build_layout(net: ProximityNetwork,
                  min_radius: float = DEFAULT_MIN_RADIUS,
                  max_radius: float = DEFAULT_MAX_RADIUS) -> NetworkLayout:
     """Order, ring-assign, place and size the nodes; filter the edges."""
-    index = {name: i for i, name in enumerate(net.nodes)}
-    ordered = order_nodes(net)
-    radii_by_node = size_nodes(net, min_radius, max_radius)
-
-    n = len(ordered)
+    order = _strength_order(net)
+    n = len(order)
     n_inner = (n + 1) // 2  # lower-strength half, odd counts lean inner
-    ring = tuple("inner" if k < n_inner else "outer" for k in range(n))
-    angle = np.zeros(n)
-    for ring_start, ring_size in ((0, n_inner), (n_inner, n - n_inner)):
-        for k in range(ring_size):
-            angle[ring_start + k] = 2.0 * math.pi * k / ring_size
-
-    strength = np.array([net.node_strength[index[name]] for name in ordered])
-    volume = np.array([net.node_volume[index[name]] for name in ordered])
-    radius = np.array([radii_by_node[index[name]] for name in ordered])
+    at = np.array(order, dtype=np.intp)
     return NetworkLayout(
         mode=net.mode,
-        nodes=ordered,
-        strength=strength,
-        volume=volume,
-        ring=ring,
-        angle=angle,
-        radius=radius,
+        nodes=tuple(map(net.nodes.__getitem__, order)),
+        strength=net.node_strength[at],
+        volume=net.node_volume[at],
+        ring=("inner",) * n_inner + ("outer",) * (n - n_inner),
+        angle=np.array([2.0 * math.pi * k / m for m in (n_inner, n - n_inner) for k in range(m)],
+                       dtype=np.float64),
+        radius=size_nodes(net, min_radius, max_radius)[at],
         edges=tuple(backbone(net, threshold)),
     )
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .ingest import _csv_head, _FloatTexts, _long_csv_text, frozen
+from .ingest import _csv_head, _FloatTexts, _long_csv_text, _owned, frozen
 from .rca import AdvantageMatrix, diversity, ubiquity
 
 MODES = ("fields", "countries")
@@ -63,25 +63,25 @@ def co_occurrence(adv: AdvantageMatrix, mode: str = "fields") -> np.ndarray:
 
 
 def _min_conditional_weights(co: np.ndarray) -> np.ndarray:
-    totals = np.diag(co)
-    larger = np.maximum.outer(totals, totals)
-    return np.divide(
-        co, larger, out=np.zeros(co.shape, dtype=np.float64), where=larger > 0
-    )
+    # a zero total divides as 1: its pairs have co-occurrence 0, so weight 0
+    totals = np.maximum(co.diagonal(), 1)
+    return co / np.maximum.outer(totals, totals)
 
 
 def _network(mode: str, nodes: tuple[str, ...], co: np.ndarray, volumes) -> ProximityNetwork:
     weights = _min_conditional_weights(co)
-    strength = weights.sum(axis=1) - np.diag(weights)
+    strength = weights.sum(axis=1) - weights.diagonal()
     if volumes is None:
         volumes = np.zeros(len(nodes))
     else:
-        volumes = np.asarray(volumes, dtype=np.float64)
+        volumes = np.array(volumes, dtype=np.float64)  # a copy: the caller keeps theirs
         if volumes.shape != (len(nodes),):
             raise DataError(
                 f"node volumes shape {volumes.shape} does not match {len(nodes)} nodes"
             )
-    return ProximityNetwork(mode, nodes, weights, strength, volumes)
+    if len(set(nodes)) != len(nodes):  # an AdvantageMatrix may repeat a name
+        raise DataError("duplicate node names")
+    return _owned(ProximityNetwork, mode, nodes, weights, strength, volumes)
 
 
 def field_proximity(adv: AdvantageMatrix, volumes=None) -> ProximityNetwork:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, UndefinedCellWarning
-from .ingest import IndexKind, ProductionTable, frozen
+from .ingest import IndexKind, ProductionTable, _owned, freeze_grid
 
 #: Comparative-advantage cutoff applied to RCA values (closed bound).
 ADVANTAGE_THRESHOLD = 1.0
@@ -36,8 +36,7 @@ class RcaMatrix:
     defined_mask: np.ndarray  # bool, True where RCA is well-defined
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", frozen(self.values, np.float64))
-        object.__setattr__(self, "defined_mask", frozen(self.defined_mask, bool))
+        freeze_grid(self, values=np.float64, defined_mask=bool)
 
     def n_undefined(self) -> int:
         return int((~self.defined_mask).sum())
@@ -56,15 +55,7 @@ class AdvantageMatrix:
     m: np.ndarray  # bool
 
     def __post_init__(self) -> None:
-        m = frozen(self.m, bool)
-        if m.shape != (len(self.countries), len(self.fields)):
-            raise DataError(
-                f"advantage matrix shape {m.shape} does not match "
-                f"{len(self.countries)} countries x {len(self.fields)} fields"
-            )
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "countries", tuple(self.countries))
-        object.__setattr__(self, "fields", tuple(self.fields))
+        freeze_grid(self, m=bool)
 
 
 def compute_rca(table: ProductionTable) -> RcaMatrix:
@@ -81,23 +72,17 @@ def compute_rca(table: ProductionTable) -> RcaMatrix:
     if grand_total == 0.0:
         raise DataError("empty production")
 
-    defined = (country_totals[:, None] > 0) & (field_totals[None, :] > 0)
-    internal_share = np.divide(
-        x,
-        country_totals[:, None],
-        out=np.zeros_like(x),
-        where=country_totals[:, None] > 0,
-    )
     world_share = field_totals / grand_total
-    values = np.divide(
-        internal_share,
-        world_share[None, :],
-        out=np.zeros_like(x),
-        where=world_share[None, :] > 0,
-    )
-    values[~defined] = 0.0
+    active = country_totals > 0
+    # A zero country total divides as 1: its cells are all zero.  A zero world
+    # share (even of a positive field total, by underflow) divides as inf, so
+    # its cells, each at most 1 after the first division, come out 0.
+    values = (x / np.where(active, country_totals, 1.0)[:, None]
+              / np.where(world_share > 0, world_share, np.inf))
+    values += 0.0  # a -0.0 cell has RCA +0.0
+    defined = active[:, None] & (field_totals > 0)
 
-    n_undefined = int((~defined).sum())
+    n_undefined = defined.size - np.count_nonzero(defined)
     if n_undefined:
         warnings.warn(
             f"{n_undefined} RCA cell(s) undefined (zero country or field total); "
@@ -105,13 +90,13 @@ def compute_rca(table: ProductionTable) -> RcaMatrix:
             UndefinedCellWarning,
             stacklevel=2,
         )
-    return RcaMatrix(table.index_kind, table.countries, table.fields, values, defined)
+    return _owned(RcaMatrix, table.index_kind, table.countries, table.fields, values, defined)
 
 
 def threshold_advantage(rca: RcaMatrix) -> AdvantageMatrix:
     """Binary knowledge-space matrix: 1 exactly where defined and RCA >= 1."""
     m = rca.defined_mask & (rca.values >= ADVANTAGE_THRESHOLD)
-    return AdvantageMatrix(rca.countries, rca.fields, m)
+    return _owned(AdvantageMatrix, rca.countries, rca.fields, m)
 
 
 def diversity(adv: AdvantageMatrix) -> np.ndarray:

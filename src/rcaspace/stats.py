@@ -12,6 +12,7 @@ magnitude; beyond that, the sign decides right- or left-skewed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -35,6 +36,20 @@ QUARTILE_RULES = (
     "midpoint",
     "nearest",
 )
+
+#: Hyndman & Fan's (alpha, beta) for the rules that interpolate at the
+#: virtual index n*p + (alpha + p*(1 - alpha - beta)) - 1.
+_ALPHA_BETA = {
+    "interpolated_inverted_cdf": (0, 1),
+    "hazen": (0.5, 0.5),
+    "weibull": (0, 0),
+    "median_unbiased": (1 / 3.0, 1 / 3.0),
+    "normal_unbiased": (3 / 8.0, 3 / 8.0),
+}
+
+#: The rules that take an order statistic at (n - 1) * p, rounded as numpy
+#: does ("nearest" rounds half to even).
+_ROUNDED_INDEX = {"lower": math.floor, "higher": math.ceil, "nearest": round}
 
 #: |quartile skew| <= SYMMETRY_TOLERANCE * IQR classifies as symmetric.
 SYMMETRY_TOLERANCE = 0.15
@@ -77,8 +92,54 @@ class DistributionSummary:
         }
 
 
+def _quantile(ordered: np.ndarray, p: float, rule: str) -> float:
+    """The ``p`` quantile of the sorted ``ordered`` by ``rule``, as ``np.quantile`` gives it.
+
+    The virtual indexes are Hyndman & Fan's (1996), computed with numpy's
+    formulas in numpy's order of operations; the discrete rules pick numpy's
+    order statistic, and the others interpolate as numpy's ``_lerp`` does,
+    from the upper end when the weight is at least 0.5.
+    """
+    n = ordered.size
+    if rule in _ROUNDED_INDEX:
+        return ordered.item(_ROUNDED_INDEX[rule]((n - 1) * p))
+    if rule in ("inverted_cdf", "closest_observation"):
+        v = n * p - 1 if rule == "inverted_cdf" else n * p - 1 - 0.5
+        k = math.floor(v)
+        if v != k or (rule == "closest_observation" and k % 2 == 0):
+            k += 1
+        return ordered.item(max(k, 0))
+    if rule == "linear":
+        v = (n - 1) * p
+    elif rule == "averaged_inverted_cdf":
+        v = n * p - 1
+    elif rule == "midpoint":
+        v = 0.5 * (math.floor((n - 1) * p) + math.ceil((n - 1) * p))
+    else:
+        alpha, beta = _ALPHA_BETA[rule]
+        v = n * p + (alpha + p * (1 - alpha - beta)) - 1
+    if v >= n - 1:  # numpy reads index -1 here, so its weight is v - (-1)
+        i, j, t = n - 1, n - 1, v + 1
+    elif v < 0:
+        i, j, t = 0, 0, v
+    else:
+        i = math.floor(v)
+        j, t = i + 1, v - i
+    if rule == "averaged_inverted_cdf":
+        t = 0.5 if t == 0 else 1.0
+    elif rule == "midpoint":
+        t = 0.0 if v % 1 == 0 else 0.5
+    a, b = ordered.item(i), ordered.item(j)
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 def summarize(values: Iterable[float], quartile_rule: str = "linear") -> DistributionSummary:
-    """Six-number summary of a non-empty list of finite reals."""
+    """Six-number summary of a non-empty list of finite reals.
+
+    The values are sorted once; the quartiles equal ``np.quantile``'s with
+    ``method=quartile_rule``, and the extremes are the sorted ends.
+    """
     if quartile_rule not in QUARTILE_RULES:
         raise DataError(
             f"unknown quartile rule {quartile_rule!r} "
@@ -88,18 +149,18 @@ def summarize(values: Iterable[float], quartile_rule: str = "linear") -> Distrib
                      dtype=np.float64).ravel()
     if arr.size == 0:
         raise DataError("empty distribution")
-    if not np.all(np.isfinite(arr)):
+    ordered = np.sort(arr)  # NaN sorts last, so finite ends mean finite values
+    minimum, maximum = ordered.item(0), ordered.item(-1)
+    if not (math.isfinite(minimum) and math.isfinite(maximum)):
         raise DataError("distribution contains a non-finite value")
-    q1, median, q3 = np.quantile(arr, [0.25, 0.5, 0.75], method=quartile_rule)
-    minimum, maximum = float(arr.min()), float(arr.max())
     return DistributionSummary(
         n=int(arr.size),
         minimum=minimum,
-        q1=float(q1),
-        median=float(median),
+        q1=_quantile(ordered, 0.25, quartile_rule),
+        median=_quantile(ordered, 0.5, quartile_rule),
         # rounding can put the mean of equal values one ulp outside them
         mean=min(max(float(arr.mean()), minimum), maximum),
-        q3=float(q3),
+        q3=_quantile(ordered, 0.75, quartile_rule),
         maximum=maximum,
     )
 

@@ -307,6 +307,14 @@ class TestRoundTrip:
         )
         assert reparsed == table
 
+    @pytest.mark.parametrize("countries, fields", [
+        pytest.param(["a", "b", "c"], ["x", "y"], id="too-few-rows"),
+        pytest.param(["a"], ["x"], id="too-many-cells"),
+    ])
+    def test_matrix_shape_must_match_names(self, countries, fields):
+        with pytest.raises(DataError, match=r"matrix shape \(2, 2\) does not match"):
+            ingest.matrix_csv_text(countries, fields, np.ones((2, 2)))
+
 
 class TestManifest:
     def test_load(self, tmp_path):
@@ -411,6 +419,38 @@ def test_stored_arrays_are_frozen_copies(cls, scalars, arrays):
         before = stored.copy()
         theirs[...] = np.logical_not(theirs)
         assert np.array_equal(stored, before), name
+
+
+@pytest.mark.parametrize("arrays", [
+    pytest.param({"values": np.zeros((2, 1)), "defined_mask": np.ones((2, 2), bool)}, id="values"),
+    pytest.param({"values": np.zeros((2, 2)), "defined_mask": np.ones(4, bool)}, id="defined_mask"),
+])
+def test_rca_matrix_shape_checked(arrays):
+    with pytest.raises(DataError, match="shape"):
+        RcaMatrix(IndexKind.DOCUMENTS, ["A", "B"], ["X", "Y"], **arrays)
+
+
+def test_computed_arrays_are_owned_and_frozen(make_table):
+    """Arrays the library computes are stored without a copy, yet read-only
+    and apart from the caller's table and volumes; names are still checked."""
+    from rcaspace import compute_rca, country_proximity, field_proximity, threshold_advantage
+
+    table = make_table([[1.0, 2.0, 0.0], [3.0, 0.5, 4.0]])
+    rca = compute_rca(table)
+    adv = threshold_advantage(rca)
+    volumes = [np.array([1.0, 2.0, 3.0]), np.array([5.0, 6.0])]
+    nets = [field_proximity(adv, volumes[0]), country_proximity(adv, volumes[1])]
+    stored = [rca.values, rca.defined_mask, adv.m]
+    stored += [getattr(net, name) for net in nets
+               for name in ("weights", "node_strength", "node_volume")]
+    for arr in stored:
+        assert not arr.flags.writeable
+        assert not any(np.shares_memory(arr, theirs) for theirs in (table.values, *volumes))
+    assert isinstance(adv.countries, tuple) and isinstance(nets[0].nodes, tuple)
+    repeated = AdvantageMatrix(["A", "A"], ["X", "X"], np.ones((2, 2), bool))
+    for build in (field_proximity, country_proximity):
+        with pytest.raises(DataError, match="duplicate node names"):
+            build(repeated)
 
 
 # Base names, each with the spellings a file may use for it: quoting needs,

@@ -1,10 +1,11 @@
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
 
-from rcaspace import DataError, IndexKind
+from rcaspace import DataError, IndexKind, parse_production_csv
 from rcaspace.report import (
     analyze_index,
     build_report,
@@ -120,6 +121,19 @@ class TestBuildReport:
             a = analyze_index(make_table([[0.0, 0.0], [3.0, 9.0]]))
         report = self.make_report([a])
         assert report.undefined_cells == {"documents": 2}
+
+    def test_negative_zero_cell_reports_unsigned_zero(self):
+        table = parse_production_csv(
+            io.StringIO("country,field,value\na,x,-0\na,y,1\nb,x,2\nb,y,3\n"),
+            IndexKind.DOCUMENTS,
+        )
+        a = analyze_index(table)
+        assert a.rca.values[0, 0] == 0.0 and not np.signbit(a.rca.values[0, 0])
+        assert not np.signbit(a.summary.minimum)
+        report = self.make_report([a])
+        assert json.loads(report.to_json())["rca_stats"]["documents"]["min"] == 0.0
+        assert '"min": -0.0' not in report.to_json()
+        assert "-0.000" not in report.to_text()
 
 
 class TestSha256:

@@ -107,6 +107,36 @@ class TestSummarize:
             )
 
 
+#: Cells for the quartile differential: ties, signed zeros, subnormals, the
+#: smallest normal and huge values of both signs (small enough that the
+#: mean and the interpolation steps stay finite).
+QUARTILE_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 5e-324, -5e-324, 1e-310,
+                     2.2250738585072014e-308, 1e300, -1e300]),
+    st.floats(min_value=-1e300, max_value=1e300),
+)
+
+
+@settings(max_examples=400)
+@given(st.lists(QUARTILE_CELLS, min_size=1, max_size=50))
+@example([1.0, 2.0, 3.0, 4.0])
+@example([0.0, -0.0, 1.0])
+def test_quartiles_equal_numpy_for_every_rule(xs):
+    """One sort gives np.quantile's quartiles and the array's extremes, bit
+    for bit; a -0.0 ties with 0.0 in any order, so with one present they are
+    only required to be equal."""
+    arr = np.array(xs)
+    signed_zero = bool(np.signbit(arr[arr == 0.0]).any())
+    for rule in QUARTILE_RULES:
+        s = summarize(arr, rule)
+        got = np.array([s.q1, s.median, s.q3, s.minimum, s.maximum])
+        want = np.array([*np.quantile(arr, [0.25, 0.5, 0.75], method=rule), arr.min(), arr.max()])
+        if signed_zero:
+            assert got.tolist() == want.tolist(), rule
+        else:
+            assert got.tobytes() == want.tobytes(), rule
+
+
 class TestPearson:
     def test_perfect_positive(self):
         xs = np.array([1.0, 2.0, 3.0, 4.0])
