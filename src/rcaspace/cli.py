@@ -74,22 +74,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _write_bytes(path: Path, data: bytes) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
+def _write_bytes(path: Path, data: str | bytes) -> None:
+    """Atomic write of ``data`` (text as UTF-8): temp file in the target directory, then rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _write_text(path: Path, text: str) -> None:
-    _write_bytes(path, text.encode("utf-8"))
 
 
 @dataclass
@@ -151,67 +147,59 @@ def _proximity_network(analysis: IndexAnalysis, mode: str):
     return country_proximity(analysis.advantage, analysis.table.country_totals())
 
 
-def _write_rca_csvs(cfg: RunConfig, data: _LoadedDataset) -> list[str]:
-    written = []
-    for a in data.analyses:
-        rca_name = f"rca_{a.kind.value}.csv"
-        adv_name = f"advantage_{a.kind.value}.csv"
-        _write_text(
-            cfg.out / rca_name,
-            matrix_csv_text(a.rca.countries, a.rca.fields, a.rca.values),
-        )
-        _write_text(
-            cfg.out / adv_name,
-            matrix_csv_text(
-                a.advantage.countries, a.advantage.fields, a.advantage.m.astype(int)
-            ),
-        )
-        written.extend([rca_name, adv_name])
-    return written
+@dataclass(frozen=True)
+class Command:
+    help: str
+    modes: tuple[str, ...] | None  # network node sets; None: the one given on the command line
+    matrices: bool  # the RCA and advantage matrices
+    proximity: bool  # the proximity matrix of each network
+    summaries: tuple[str, ...]  # written last, from one report
 
 
-def _write_networks(cfg: RunConfig, data: _LoadedDataset, mode: str,
-                    include_matrix_csv: bool) -> list[str]:
-    written = []
-    for a in data.analyses:
-        net = _proximity_network(a, mode)
-        if include_matrix_csv:
-            name = f"proximity_{mode}_{a.kind.value}.csv"
-            _write_text(cfg.out / name, proximity_csv_text(net))
-            written.append(name)
-        layout = build_layout(net, cfg.threshold)
-        for fmt in cfg.formats:
-            name = f"network_{mode}_{a.kind.value}.{fmt}"
-            _write_bytes(cfg.out / name, emit(layout, fmt))
-            written.append(name)
-    return written
-
-
-#: The summary files each command writes after its artifacts, from one report.
-SUMMARIES = {
-    "rca": ("rca_summary.json",),
-    "proximity": ("proximity_summary.json",),
-    "network": (),
-    "stats": ("stats.json", "stats.txt"),
-    "report": ("report.json", "report.txt"),
+#: What each subcommand writes, in the order of the fields, each per index but the summaries.
+COMMANDS = {
+    "rca": Command("write per-index RCA and advantage matrices",
+                   (), True, False, ("rca_summary.json",)),
+    "proximity": Command("write proximity matrices and networks",
+                         None, False, True, ("proximity_summary.json",)),
+    "network": Command("write backbone-filtered network files", None, False, False, ()),
+    "stats": Command("write distribution and correlation stats",
+                     (), False, False, ("stats.json", "stats.txt")),
+    "report": Command("run the full pipeline into one report",
+                      MODES, True, True, ("report.json", "report.txt")),
+    "demo": Command("write the bundled dataset, report on it, print a digest",
+                    MODES, True, True, ("report.json", "report.txt")),
 }
 
 
-def run(cfg: RunConfig, command: str, mode: str | None = None) -> _LoadedDataset:
-    """Load the dataset and write what ``command`` makes of it.
+def _write_artifacts(cfg: RunConfig, data: _LoadedDataset, command: str,
+                     mode: str | None) -> list[str]:
+    """Write what ``COMMANDS[command]`` declares, each artifact as it is made.
 
-    ``rca`` and ``report`` write the RCA and advantage matrices; ``proximity``
-    and ``network`` write the networks of ``mode`` (with the proximity
-    matrices, except for ``network``), and ``report`` those of both modes;
-    then come the command's ``SUMMARIES``.
+    Returns the names; ``data.warnings`` becomes the report's, which add each null r.
     """
-    data = _load_dataset(cfg)
-    written = _write_rca_csvs(cfg, data) if command in ("rca", "report") else []
-    modes = MODES if command == "report" else (mode,) if mode else ()
-    for m in modes:
-        written += _write_networks(cfg, data, m, include_matrix_csv=command != "network")
-    summaries = SUMMARIES[command]
-    if summaries:
+    spec = COMMANDS[command]
+    written = []
+
+    def write(name: str, content: str | bytes) -> None:
+        _write_bytes(cfg.out / name, content)
+        written.append(name)
+
+    if spec.matrices:
+        for a in data.analyses:
+            grid = a.rca.countries, a.rca.fields  # the advantage matrix's too
+            write(f"rca_{a.kind.value}.csv", matrix_csv_text(*grid, a.rca.values))
+            write(f"advantage_{a.kind.value}.csv",
+                  matrix_csv_text(*grid, a.advantage.m.astype(int)))
+    for m in (mode,) if spec.modes is None else spec.modes:
+        for a in data.analyses:
+            net = _proximity_network(a, m)
+            if spec.proximity:
+                write(f"proximity_{m}_{a.kind.value}.csv", proximity_csv_text(net))
+            layout = build_layout(net, cfg.threshold)
+            for fmt in cfg.formats:
+                write(f"network_{m}_{a.kind.value}.{fmt}", emit(layout, fmt))
+    if spec.summaries:
         report = build_report(
             dataset_name=data.dataset_name,
             period=data.period,
@@ -222,10 +210,20 @@ def run(cfg: RunConfig, command: str, mode: str | None = None) -> _LoadedDataset
             warnings_seen=data.warnings,
             joint_cells=cfg.joint_cells,
         )
-        for name in summaries:
-            _write_text(cfg.out / name,
-                        report.to_json() if name.endswith(".json") else report.to_text())
-    _echo_written(cfg.out, written + list(summaries), data.warnings)
+        data.warnings = report.warnings
+        for name in spec.summaries:
+            write(name, report.to_json() if name.endswith(".json") else report.to_text())
+    return written
+
+
+def run(cfg: RunConfig, command: str, mode: str | None = None) -> _LoadedDataset:
+    """Load the dataset, write what ``command`` makes of it and list it on stdout."""
+    data = _load_dataset(cfg)
+    written = _write_artifacts(cfg, data, command, mode)
+    for message in data.warnings:
+        print(f"warning: {message}", file=sys.stderr)
+    for name in written:
+        print(cfg.out / name)
     return data
 
 
@@ -236,14 +234,15 @@ DEMO_TOP = 5
 def cmd_demo(cfg: RunConfig) -> None:
     """Write the bundled dataset to ``cfg.manifest``'s directory, report on it, print a digest."""
     write_demo_dataset(cfg.manifest.parent)
-    data = run(cfg, "report")
+    data = run(cfg, "demo")
     print(f"\ndataset: {data.dataset_name} ({data.period})")
     print(f"{'index':24s}  {'median RCA':>10s}  {'mean RCA':>9s}  skew")
     for a in data.analyses:
         print(f"{a.kind.value:24s}  {a.summary.median:10.3f}  {a.summary.mean:9.3f}  {a.skew_class}")
     print("\ncross-index Pearson correlations of RCA values:")
     for pair in correlation_pairs(data.analyses):
-        print(f"  {pair['a']} ~ {pair['b']}: r = {pair['r']:+.3f}")
+        r = "n/a" if pair["r"] is None else f"{pair['r']:+.3f}"
+        print(f"  {pair['a']} ~ {pair['b']}: r = {r}")
     first = data.analyses[0]
     print(f"\nmost diverse countries ({first.kind.value}):")
     _print_top(first.table.countries, first.diversity, "Div")
@@ -260,48 +259,6 @@ def _print_top(names: tuple[str, ...], counts, label: str) -> None:
         print(f"  {names[i]:16s}  {label} = {counts[i]}")
 
 
-def _echo_written(out: Path, names: list[str], warnings_seen: list[str]) -> None:
-    for message in warnings_seen:
-        print(f"warning: {message}", file=sys.stderr)
-    for name in names:
-        print(out / name)
-
-
-def _add_pipeline_options(p: argparse.ArgumentParser, with_manifest: bool = True) -> None:
-    if with_manifest:
-        p.add_argument("--manifest", required=True, help="dataset manifest (JSON)")
-        p.add_argument(
-            "--index",
-            action="append",
-            choices=[k.value for k in IndexKind],
-            help="restrict to this index kind (repeatable; default: all in manifest)",
-        )
-    p.add_argument("--out", default="rcaspace-out", help="output directory")
-    p.add_argument(
-        "--threshold",
-        type=float,
-        default=DEFAULT_THRESHOLD,
-        help="backbone weight threshold in [0, 1]",
-    )
-    p.add_argument(
-        "--format",
-        action="append",
-        choices=list(FORMATS),
-        help="network output format (repeatable; default: json)",
-    )
-    p.add_argument(
-        "--quartile-rule",
-        default="linear",
-        choices=list(QUARTILE_RULES),
-        help="quartile interpolation rule for summaries",
-    )
-    p.add_argument(
-        "--joint-cells",
-        action="store_true",
-        help="also report correlations restricted to cells defined in both indexes",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="rcaspace",
@@ -311,28 +268,43 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"rcaspace {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p_rca = sub.add_parser("rca", help="write per-index RCA and advantage matrices")
-    _add_pipeline_options(p_rca)
-
-    p_prox = sub.add_parser("proximity", help="write proximity matrices and networks")
-    p_prox.add_argument("mode", choices=list(MODES), help="node set of the network")
-    _add_pipeline_options(p_prox)
-
-    p_net = sub.add_parser("network", help="write backbone-filtered network files")
-    p_net.add_argument("mode", choices=list(MODES), help="node set of the network")
-    _add_pipeline_options(p_net)
-
-    p_stats = sub.add_parser("stats", help="write distribution and correlation stats")
-    _add_pipeline_options(p_stats)
-
-    p_report = sub.add_parser("report", help="run the full pipeline into one report")
-    _add_pipeline_options(p_report)
-
-    p_demo = sub.add_parser("demo", help="write the bundled dataset, report on it, print a digest")
-    _add_pipeline_options(p_demo, with_manifest=False)
-    p_demo.set_defaults(out="rcaspace-demo")
-
+    for name, spec in COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        if spec.modes is None:
+            p.add_argument("mode", choices=list(MODES), help="node set of the network")
+        if name != "demo":  # the demo writes its own manifest under --out
+            p.add_argument("--manifest", required=True, help="dataset manifest (JSON)")
+            p.add_argument(
+                "--index",
+                action="append",
+                choices=[k.value for k in IndexKind],
+                help="restrict to this index kind (repeatable; default: all in manifest)",
+            )
+        p.add_argument("--out", default="rcaspace-demo" if name == "demo" else "rcaspace-out",
+                       help="output directory")
+        p.add_argument(
+            "--threshold",
+            type=float,
+            default=DEFAULT_THRESHOLD,
+            help="backbone weight threshold in [0, 1]",
+        )
+        p.add_argument(
+            "--format",
+            action="append",
+            choices=list(FORMATS),
+            help="network output format (repeatable; default: json)",
+        )
+        p.add_argument(
+            "--quartile-rule",
+            default="linear",
+            choices=list(QUARTILE_RULES),
+            help="quartile interpolation rule for summaries",
+        )
+        p.add_argument(
+            "--joint-cells",
+            action="store_true",
+            help="also report correlations restricted to cells defined in both indexes",
+        )
     return parser
 
 

@@ -195,9 +195,7 @@ def size_nodes(net: ProximityNetwork,
     """
     if not min_radius < max_radius:
         raise DataError("size_nodes requires min_radius < max_radius")
-    volumes = np.asarray(net.node_volume, dtype=np.float64)
-    if volumes.size and volumes.min() < 0:
-        raise DataError("node volumes must be non-negative")
+    volumes = net.node_volume  # finite and non-negative, as ProximityNetwork checks
     top = volumes.max() if volumes.size else 0.0
     if top == 0.0:
         return np.full(volumes.shape, float(min_radius))

@@ -47,6 +47,18 @@ class ProximityNetwork:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         if len(set(self.nodes)) != len(self.nodes):
             raise DataError("duplicate node names")
+        n = len(self.nodes)
+        shapes = self.weights.shape, self.node_strength.shape
+        if shapes != ((n, n), (n,)):
+            raise DataError(f"weights and node strength shapes {shapes} do not match {n} nodes")
+        _check_volumes(self.node_volume, n)
+
+
+def _check_volumes(volumes: np.ndarray, n: int) -> None:
+    if volumes.shape != (n,):
+        raise DataError(f"node volumes shape {volumes.shape} does not match {n} nodes")
+    if not all(0 <= v < np.inf for v in volumes.tolist()):  # NaN fails both
+        raise DataError("node volumes must be finite and non-negative")
 
 
 def co_occurrence(adv: AdvantageMatrix, mode: str = "fields") -> np.ndarray:
@@ -75,10 +87,7 @@ def _network(mode: str, nodes: tuple[str, ...], co: np.ndarray, volumes) -> Prox
         volumes = np.zeros(len(nodes))
     else:
         volumes = np.array(volumes, dtype=np.float64)  # a copy: the caller keeps theirs
-        if volumes.shape != (len(nodes),):
-            raise DataError(
-                f"node volumes shape {volumes.shape} does not match {len(nodes)} nodes"
-            )
+        _check_volumes(volumes, len(nodes))
     if len(set(nodes)) != len(nodes):  # an AdvantageMatrix may repeat a name
         raise DataError("duplicate node names")
     return _owned(ProximityNetwork, mode, nodes, weights, strength, volumes)

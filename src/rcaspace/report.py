@@ -63,6 +63,8 @@ def correlation_pairs(analyses: list[IndexAnalysis], joint_cells: bool = False) 
     Tables must be cell-aligned.  By default the correlation runs over the
     full aligned grid with undefined cells as 0; with ``joint_cells`` the
     restriction to cells defined in both indexes is reported alongside.
+    An r that is not defined (constant RCA, or fewer than 2 cells) is None,
+    and ``"reason"`` (``"reason_joint"`` for ``"r_joint"``) says why.
     """
     by_order = sorted(analyses, key=lambda a: list(IndexKind).index(a.kind))
     out = []
@@ -71,16 +73,21 @@ def correlation_pairs(analyses: list[IndexAnalysis], joint_cells: bool = False) 
             raise DataError(
                 "correlation requires cell-aligned tables; run validate_alignment first"
             )
-        entry = {
-            "a": a.kind.value,
-            "b": b.kind.value,
-            "r": pearson(a.rca.values.ravel(), b.rca.values.ravel()),
-        }
+        entry = {"a": a.kind.value, "b": b.kind.value}
+        _correlate(entry, "r", a.rca.values.ravel(), b.rca.values.ravel())
         if joint_cells:
             both = a.rca.defined_mask & b.rca.defined_mask
-            entry["r_joint"] = pearson(a.rca.values[both], b.rca.values[both])
+            _correlate(entry, "r_joint", a.rca.values[both], b.rca.values[both])
         out.append(entry)
     return out
+
+
+def _correlate(entry: dict, key: str, xs: np.ndarray, ys: np.ndarray) -> None:
+    try:
+        entry[key] = pearson(xs, ys)
+    except DataError as exc:
+        entry[key] = None
+        entry["reason" + key[1:]] = str(exc)
 
 
 def sha256_file(path: str | Path) -> str:
@@ -99,7 +106,7 @@ class AnalysisReport:
     period: str
     config: dict
     inputs: list[dict]
-    rca_stats: dict[str, dict]
+    rca_stats: dict[str, DistributionSummary]
     skewness: dict[str, str]
     correlations: list[dict]
     diversity_table: dict[str, dict[str, int]]
@@ -114,7 +121,7 @@ class AnalysisReport:
             "dataset": {"name": self.dataset_name, "period": self.period},
             "config": self.config,
             "inputs": self.inputs,
-            "rca_stats": self.rca_stats,
+            "rca_stats": {name: s.as_dict() for name, s in self.rca_stats.items()},
             "skewness": self.skewness,
             "correlations": self.correlations,
             "diversity": self.diversity_table,
@@ -128,18 +135,11 @@ class AnalysisReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_text(self) -> str:
-        summaries = {
-            name: DistributionSummary(
-                n=s["n"], minimum=s["min"], q1=s["q1"], median=s["median"],
-                mean=s["mean"], q3=s["q3"], maximum=s["max"],
-            )
-            for name, s in self.rca_stats.items()
-        }
         lines = [
             f"dataset: {self.dataset_name} ({self.period})",
             "",
             "RCA distribution summaries (defined cells)",
-            summary_table_text(summaries).rstrip("\n"),
+            summary_table_text(self.rca_stats).rstrip("\n"),
             "",
         ]
         for name, shape in self.skewness.items():
@@ -148,12 +148,10 @@ class AnalysisReport:
             lines.append("")
             lines.append("Pearson correlations between RCA distributions")
             for entry in self.correlations:
-                extra = (
-                    f"  (jointly defined cells: r = {entry['r_joint']:.3f})"
-                    if "r_joint" in entry
-                    else ""
-                )
-                lines.append(f"  {entry['a']} ~ {entry['b']}: r = {entry['r']:.3f}{extra}")
+                extra = ""
+                if "r_joint" in entry:
+                    extra = f"  (jointly defined cells: r = {_r_text(entry['r_joint'])})"
+                lines.append(f"  {entry['a']} ~ {entry['b']}: r = {_r_text(entry['r'])}{extra}")
         lines.append("")
         lines.append(_count_table_text("Ubiquity per field", self.ubiquity_table))
         lines.append(_count_table_text("Diversity per country", self.diversity_table))
@@ -162,6 +160,10 @@ class AnalysisReport:
             lines.extend(f"  - {w}" for w in self.warnings)
             lines.append("")
         return "\n".join(lines)
+
+
+def _r_text(r: float | None) -> str:
+    return "n/a" if r is None else f"{r:.3f}"
 
 
 def _count_table_text(title: str, table: dict[str, dict[str, int]]) -> str:
@@ -193,18 +195,12 @@ def build_report(
     warnings_seen: list[str],
     joint_cells: bool = False,
 ) -> AnalysisReport:
-    """Aggregate per-index analyses into one AnalysisReport."""
+    """Aggregate per-index analyses into one AnalysisReport, warning of each null r."""
     analyses = sorted(analyses, key=lambda a: list(IndexKind).index(a.kind))
     kinds = [a.kind.value for a in analyses]
-    rca_stats = {}
-    skewness = {}
-    undefined = {}
-    for a in analyses:
-        stats = a.summary.as_dict()
-        rca_stats[a.kind.value] = stats
-        skewness[a.kind.value] = a.skew_class
-        undefined[a.kind.value] = a.rca.n_undefined()
-
+    correlations = correlation_pairs(analyses, joint_cells)
+    null_r = [f"{e['a']} ~ {e['b']}: {key} is null ({e['reason' + key[1:]]})"
+              for e in correlations for key in ("r", "r_joint") if key in e and e[key] is None]
     first = analyses[0]
     ubiquity_table = {
         field_name: {kind: int(a.ubiquity[j]) for kind, a in zip(kinds, analyses)}
@@ -219,12 +215,12 @@ def build_report(
         period=period,
         config=config,
         inputs=inputs,
-        rca_stats=rca_stats,
-        skewness=skewness,
-        correlations=correlation_pairs(analyses, joint_cells),
+        rca_stats={a.kind.value: a.summary for a in analyses},
+        skewness={a.kind.value: a.skew_class for a in analyses},
+        correlations=correlations,
         diversity_table=diversity_table,
         ubiquity_table=ubiquity_table,
         proximity_exports=proximity_exports,
-        undefined_cells=undefined,
-        warnings=warnings_seen,
+        undefined_cells={a.kind.value: a.rca.n_undefined() for a in analyses},
+        warnings=warnings_seen + null_r,
     )

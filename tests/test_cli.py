@@ -9,6 +9,11 @@ from rcaspace.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 DOCS_CSV = "country,field,value\nA,Mth,10\nA,Chm,2\nB,Mth,3\nB,Chm,9\n"
 CITS_CSV = "country,field,value\nA,Mth,8\nA,Chm,1\nB,Mth,2\nB,Chm,12\n"
 H_CSV = "country,field,value\nA,Mth,5\nA,Chm,5\nB,Mth,4\nB,Chm,6\n"
+# One country: every RCA value is 1, so no index pair has a Pearson r.
+ONE_COUNTRY = {
+    "documents": "country,field,value\nA,Mth,3\nA,Chm,7\n",
+    "citations": "country,field,value\nA,Mth,5\nA,Chm,1\n",
+}
 
 
 # What `rcaspace demo` prints after its artifact listing.  Tied entries of
@@ -65,6 +70,64 @@ def write_dataset(tmp_path, tables=None):
         json.dumps({"dataset_name": "tiny", "period": "2000", "tables": entries})
     )
     return manifest
+
+
+# What each command writes for the 3-index dataset of write_dataset, in the
+# order it lists the files on stdout.
+COMMAND_OUTPUTS = {
+    "rca": [
+        "rca_documents.csv", "advantage_documents.csv",
+        "rca_citations.csv", "advantage_citations.csv",
+        "rca_h_index.csv", "advantage_h_index.csv",
+        "rca_summary.json",
+    ],
+    "proximity fields": [
+        "proximity_fields_documents.csv", "network_fields_documents.json",
+        "proximity_fields_citations.csv", "network_fields_citations.json",
+        "proximity_fields_h_index.csv", "network_fields_h_index.json",
+        "proximity_summary.json",
+    ],
+    "proximity countries": [
+        "proximity_countries_documents.csv", "network_countries_documents.json",
+        "proximity_countries_citations.csv", "network_countries_citations.json",
+        "proximity_countries_h_index.csv", "network_countries_h_index.json",
+        "proximity_summary.json",
+    ],
+    "network fields": [
+        "network_fields_documents.json", "network_fields_citations.json",
+        "network_fields_h_index.json",
+    ],
+    "network countries": [
+        "network_countries_documents.json", "network_countries_citations.json",
+        "network_countries_h_index.json",
+    ],
+    "stats": ["stats.json", "stats.txt"],
+    "report": [
+        "rca_documents.csv", "advantage_documents.csv",
+        "rca_citations.csv", "advantage_citations.csv",
+        "rca_h_index.csv", "advantage_h_index.csv",
+        "proximity_fields_documents.csv", "network_fields_documents.json",
+        "proximity_fields_citations.csv", "network_fields_citations.json",
+        "proximity_fields_h_index.csv", "network_fields_h_index.json",
+        "proximity_countries_documents.csv", "network_countries_documents.json",
+        "proximity_countries_citations.csv", "network_countries_citations.json",
+        "proximity_countries_h_index.csv", "network_countries_h_index.json",
+        "report.json", "report.txt",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_OUTPUTS))
+def test_command_writes_and_lists_exactly_its_outputs(tmp_path, capsys, command):
+    manifest = write_dataset(tmp_path)
+    out = tmp_path / "out"
+    argv = command.split() + ["--manifest", str(manifest), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    expected = COMMAND_OUTPUTS[command]
+    assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [str(out / name) for name in expected]
+    assert captured.err == ""
 
 
 class TestRcaCommand:
@@ -273,6 +336,26 @@ class TestStatsAndReport:
         doc = json.loads((out / "report.json").read_text())
         assert doc["correlations"] == []
 
+    def test_degenerate_pair_reports_null_r(self, tmp_path, capsys):
+        manifest = write_dataset(tmp_path, ONE_COUNTRY)
+        out = tmp_path / "out"
+        code = main(["report", "--manifest", str(manifest), "--joint-cells", "--out", str(out)])
+        assert code == EXIT_OK
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["correlations"] == [{
+            "a": "documents", "b": "citations",
+            "r": None, "reason": "degenerate correlation input",
+            "r_joint": None, "reason_joint": "degenerate correlation input",
+        }]
+        warned = [
+            "documents ~ citations: r is null (degenerate correlation input)",
+            "documents ~ citations: r_joint is null (degenerate correlation input)",
+        ]
+        assert doc["warnings"] == warned
+        assert capsys.readouterr().err == "".join(f"warning: {w}\n" for w in warned)
+        text = (out / "report.txt").read_text()
+        assert "  documents ~ citations: r = n/a  (jointly defined cells: r = n/a)\n" in text
+
     def test_report_writes_all_artifact_groups(self, tmp_path):
         manifest = write_dataset(tmp_path, {"documents": DOCS_CSV})
         out = tmp_path / "out"
@@ -326,6 +409,15 @@ class TestDemoCommand:
         assert sorted(listed.splitlines()) == sorted(str(p) for p in analysis.iterdir())
         manifest = tmp_path / "data" / "manifest.json"
         assert digest == DEMO_SUMMARY + f"\ndemo dataset: {manifest}\nanalysis: {analysis}\n"
+
+    def test_digest_prints_na_for_a_degenerate_pair(self, tmp_path, monkeypatch, capsys):
+        def write_one_country(directory):
+            directory.mkdir(parents=True)
+            write_dataset(directory, ONE_COUNTRY)
+
+        monkeypatch.setattr("rcaspace.cli.write_demo_dataset", write_one_country)
+        assert main(["demo", "--out", str(tmp_path)]) == EXIT_OK
+        assert "  documents ~ citations: r = n/a\n" in capsys.readouterr().out
 
     def test_demo_runs_are_reproducible(self, tmp_path):
         out_a = tmp_path / "a"

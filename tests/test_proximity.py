@@ -10,7 +10,7 @@ from rcaspace import (
     country_proximity,
     field_proximity,
 )
-from rcaspace.proximity import proximity_csv_text
+from rcaspace.proximity import ProximityNetwork, proximity_csv_text
 
 from .oracles import conditional_proximity_countries, conditional_proximity_fields
 
@@ -173,6 +173,27 @@ class TestNetworkStructure:
     def test_volume_shape_checked(self):
         with pytest.raises(DataError, match="volumes"):
             field_proximity(adv_from([[1, 0]]), volumes=np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_volumes_finite_and_non_negative(self, bad):
+        # a NaN or inf volume would make the SVG export draw radius "nan"
+        adv = adv_from([[1, 0, 1], [0, 1, 1]])
+        with pytest.raises(DataError, match="finite and non-negative"):
+            field_proximity(adv, [bad, 1.0, 2.0])
+        with pytest.raises(DataError, match="finite and non-negative"):
+            country_proximity(adv, [1.0, bad])
+
+    @pytest.mark.parametrize("weights, strength, volume, match", [
+        (np.eye(3), np.zeros(2), np.ones(2), "weights and node strength shapes"),
+        (np.eye(2), np.zeros(3), np.ones(2), "weights and node strength shapes"),
+        (np.eye(2), np.zeros(2), np.ones(3), "volumes shape"),
+        (np.eye(2), np.zeros(2), [np.nan, 1.0], "finite and non-negative"),
+        (np.eye(2), np.zeros(2), [1.0, np.inf], "finite and non-negative"),
+        (np.eye(2), np.zeros(2), [1.0, -2.0], "finite and non-negative"),
+    ], ids=["weights", "strength", "volume", "nan-volume", "inf-volume", "negative-volume"])
+    def test_constructor_checks_shapes_and_volumes(self, weights, strength, volume, match):
+        with pytest.raises(DataError, match=match):
+            ProximityNetwork("fields", ("a", "b"), weights, strength, volume)
 
 
 class TestProximityCsv:
