@@ -70,8 +70,8 @@ class NetworkLayout:
 
 #: Networks with at most this many node pairs (14 nodes) list their edges in
 #: pure Python over ``weights.tolist()``; larger ones list them with numpy,
-#: whose fixed cost per call is some 30 us but whose cost per pair is far
-#: lower.  The two cost the same near 100 pairs.
+#: whose fixed cost per call is some 50 us but whose cost per pair is far
+#: lower.  The two cost the same between 100 and 190 pairs.
 PYTHON_LISTING_MAX_PAIRS = 100
 
 
@@ -134,21 +134,33 @@ def _backbone_in_python(nodes: tuple[str, ...], weights: np.ndarray,
 
 def _backbone_in_numpy(nodes: tuple[str, ...], weights: np.ndarray,
                        threshold: float) -> list[Edge]:
-    order = sorted(range(len(nodes)), key=nodes.__getitem__)  # rank -> node index
-    rank = np.empty(len(nodes), dtype=np.intp)
-    rank[order] = np.arange(len(nodes))
-    i, j = np.nonzero(np.triu(weights > 0.0, 1))  # the edges, listed in node order
-    w = weights[i, j]
-    low, high = np.minimum(rank[i], rank[j]), np.maximum(rank[i], rank[j])
-    pair = low * len(nodes) + high  # orders the edges as (low, high) would
-    by_weight = np.lexsort((pair, -w))  # Kruskal order: weight descending, then names
-    kept = w >= threshold
-    kept[by_weight[spanning_forest(len(nodes), low[by_weight], high[by_weight])]] = True
-    kept = np.flatnonzero(kept)
-    kept = kept[np.argsort(pair[kept])]  # by name pair
+    n = len(nodes)
+    order = sorted(range(n), key=nodes.__getitem__)  # rank -> node index
+    at = np.array(order, dtype=np.intp)
+    by_rank = weights[np.ix_(at, at)]
+    upper = ~np.tri(n, dtype=bool)  # the rank pairs p < q
+    # the ranks p < q of the nodes i > j weigh weights[j, i], which is by_rank[q, p]
+    swap = upper & (at[:, None] > at[None, :])
+    by_rank[swap] = by_rank.T[swap]
+    del swap
+    # the edges' keys p * n + q over the ranks p < q, ascending: in name-pair order
+    keys = np.flatnonzero(upper & (by_rank > 0.0))
+    del upper
+    neg = np.take(by_rank, keys)
+    del by_rank
+    np.negative(neg, out=neg)  # minus the weights, sorted stably: Kruskal order
+    low = keys[np.argsort(neg, kind="stable")]
+    high = low % n
+    low //= n
+    tree = spanning_forest(n, low, high)
+    tree_keys = low[tree] * n + high[tree]
+    del low, high
+    kept = neg <= -threshold  # weight >= threshold: negation is exact
+    kept[np.searchsorted(keys, tree_keys)] = True
+    keys, neg = keys[kept], neg[kept]
     names = [nodes[k] for k in order]
-    return [(names[x], names[y], v)
-            for x, y, v in zip(low[kept].tolist(), high[kept].tolist(), w[kept].tolist())]
+    return [(names[p], names[q], -v)
+            for p, q, v in zip((keys // n).tolist(), (keys % n).tolist(), neg.tolist())]
 
 
 def backbone(net: ProximityNetwork, threshold: float = DEFAULT_THRESHOLD) -> list[Edge]:

@@ -29,7 +29,9 @@ MODES = ("fields", "countries")
 class ProximityNetwork:
     """Symmetric weighted graph over fields or countries, weights in [0, 1].
 
-    Symmetry is not checked: the backbone reads the weight of the pair of
+    The constructor rejects a weight outside [0, 1] or NaN (``-0.0`` is in
+    range) and volumes that are not finite, non-negative numbers.  Symmetry
+    is not checked: the backbone reads the weight of the pair of
     nodes i < j from ``weights[i, j]`` alone.
     """
 
@@ -42,7 +44,7 @@ class ProximityNetwork:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise DataError(f"unknown proximity mode {self.mode!r}")
-        for name in ("weights", "node_strength", "node_volume"):
+        for name in ("weights", "node_strength"):
             object.__setattr__(self, name, frozen(getattr(self, name), np.float64))
         object.__setattr__(self, "nodes", tuple(self.nodes))
         if len(set(self.nodes)) != len(self.nodes):
@@ -51,14 +53,23 @@ class ProximityNetwork:
         shapes = self.weights.shape, self.node_strength.shape
         if shapes != ((n, n), (n,)):
             raise DataError(f"weights and node strength shapes {shapes} do not match {n} nodes")
-        _check_volumes(self.node_volume, n)
+        if not np.all((self.weights >= 0.0) & (self.weights <= 1.0)):  # NaN fails both
+            raise DataError("proximity weights must be in [0, 1]")
+        object.__setattr__(self, "node_volume", _node_volumes(self.node_volume, n))
+        self.node_volume.setflags(write=False)
 
 
-def _check_volumes(volumes: np.ndarray, n: int) -> None:
+def _node_volumes(values, n: int) -> np.ndarray:
+    """``values`` as a float64 copy: one finite, non-negative number per node."""
+    try:
+        volumes = np.array(values, dtype=np.float64)  # a copy: the caller keeps theirs
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"node volumes must be numbers: {exc}") from None
     if volumes.shape != (n,):
         raise DataError(f"node volumes shape {volumes.shape} does not match {n} nodes")
     if not all(0 <= v < np.inf for v in volumes.tolist()):  # NaN fails both
         raise DataError("node volumes must be finite and non-negative")
+    return volumes
 
 
 def co_occurrence(adv: AdvantageMatrix, mode: str = "fields") -> np.ndarray:
@@ -76,18 +87,15 @@ def co_occurrence(adv: AdvantageMatrix, mode: str = "fields") -> np.ndarray:
 
 def _min_conditional_weights(co: np.ndarray) -> np.ndarray:
     # a zero total divides as 1: its pairs have co-occurrence 0, so weight 0
-    totals = np.maximum(co.diagonal(), 1)
-    return co / np.maximum.outer(totals, totals)
+    totals = np.maximum(co.diagonal(), 1.0)  # float64, as the weights
+    weights = np.maximum.outer(totals, totals)
+    return np.divide(co, weights, out=weights)  # in place: no third n x n array
 
 
 def _network(mode: str, nodes: tuple[str, ...], co: np.ndarray, volumes) -> ProximityNetwork:
     weights = _min_conditional_weights(co)
     strength = weights.sum(axis=1) - weights.diagonal()
-    if volumes is None:
-        volumes = np.zeros(len(nodes))
-    else:
-        volumes = np.array(volumes, dtype=np.float64)  # a copy: the caller keeps theirs
-        _check_volumes(volumes, len(nodes))
+    volumes = np.zeros(len(nodes)) if volumes is None else _node_volumes(volumes, len(nodes))
     if len(set(nodes)) != len(nodes):  # an AdvantageMatrix may repeat a name
         raise DataError("duplicate node names")
     return _owned(ProximityNetwork, mode, nodes, weights, strength, volumes)

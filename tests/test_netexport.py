@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import json
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -9,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcaspace import (
+    AdvantageMatrix,
     DataError,
     ProximityNetwork,
     backbone,
     build_layout,
+    country_proximity,
     emit,
     order_nodes,
     size_nodes,
@@ -164,6 +168,40 @@ def quarter_networks(draw):
     return net_from(w, names)
 
 
+#: 340 names over "ZaÉz", enough for 60 distinct ones.
+_NAME_POOL = ["".join(p) for k in range(1, 5) for p in itertools.product("ZaÉz", repeat=k)]
+
+
+@st.composite
+def numpy_listing_networks(draw):
+    """The networks of ``quarter_networks`` on 15-60 nodes, which the numpy
+    listing takes, drawn from one seed; names shuffled or in name order."""
+    n = draw(st.integers(_SMALL_N + 1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    names = rng.choice(_NAME_POOL, n, replace=False).tolist()
+    if draw(st.booleans()):
+        names.sort()
+    w = rng.integers(0, 5, (n, n)) / 4.0
+    if draw(st.booleans()):
+        w = np.triu(w) + np.triu(w, 1).T
+    groups = rng.integers(0, draw(st.integers(1, 4)), n)
+    w[groups[:, None] != groups[None, :]] = 0.0
+    w[groups == 3, :] = 0.0  # group 3 nodes are isolated
+    return net_from(w, names)
+
+
+def seeded_advantage(n, shuffled, seed=2014):
+    """A seeded advantage matrix of ``n`` countries over 96 fields, whose
+    country network is dense; a few countries have no advantage, so their
+    nodes are isolated."""
+    rng = np.random.default_rng(seed)
+    m = rng.random((n, 96)) < 0.3
+    m[rng.random(n) < 0.03] = False
+    order = rng.permutation(n) if shuffled else range(n)
+    fields = tuple(f"F{j:02d}" for j in range(96))
+    return AdvantageMatrix(tuple(f"C{k:03d}" for k in order), fields, m)
+
+
 class TestBackboneReference:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -173,6 +211,22 @@ class TestBackboneReference:
     def test_equals_string_kruskal(self, net, threshold):
         expected = reference_backbone(net.nodes, net.weights.tolist(), threshold)
         assert backbone(net, threshold) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        numpy_listing_networks(),
+        st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0)),
+    )
+    def test_numpy_listing_equals_string_kruskal(self, net, threshold):
+        expected = reference_backbone(net.nodes, net.weights.tolist(), threshold)
+        assert backbone(net, threshold) == expected
+
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["name-order", "shuffled"])
+    def test_min_conditional_network_equals_string_kruskal(self, shuffled):
+        net = country_proximity(seeded_advantage(320, shuffled))
+        for threshold in (0.0, 0.4):
+            expected = reference_backbone(net.nodes, net.weights.tolist(), threshold)
+            assert backbone(net, threshold) == expected
 
     @pytest.mark.parametrize("n", [3, _SMALL_N + 1])
     def test_asymmetric_weights_read_upper_triangle(self, n):
@@ -189,6 +243,30 @@ class TestBackboneReference:
         names = ["A", "A"] + [f"n{k:02d}" for k in range(n - 2)]
         with pytest.raises(DataError, match="duplicate node names"):
             net_from(np.full((n, n), 0.5), names)
+
+
+def _traced_peak(fn, *args):
+    """(peak bytes that Python and numpy allocated during ``fn(*args)``, its result)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+#: Peak memory of the n^2 stages, in weight matrices of the network: both
+#: measure about 2.24 at 400 nodes, and one more copy of the weight matrix or
+#: of the pair list would exceed the bound.
+N_SQUARED_PEAK_BOUND = 2.6
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["name-order", "shuffled"])
+def test_n_squared_stages_peak_memory(shuffled):
+    peak, net = _traced_peak(country_proximity, seeded_advantage(400, shuffled))
+    assert peak < N_SQUARED_PEAK_BOUND * net.weights.nbytes, "country_proximity"
+    peak, _ = _traced_peak(backbone, net)
+    assert peak < N_SQUARED_PEAK_BOUND * net.weights.nbytes, "backbone"
 
 
 class TestOrderAndSize:

@@ -190,10 +190,28 @@ class TestNetworkStructure:
         (np.eye(2), np.zeros(2), [np.nan, 1.0], "finite and non-negative"),
         (np.eye(2), np.zeros(2), [1.0, np.inf], "finite and non-negative"),
         (np.eye(2), np.zeros(2), [1.0, -2.0], "finite and non-negative"),
-    ], ids=["weights", "strength", "volume", "nan-volume", "inf-volume", "negative-volume"])
+        (np.eye(2), np.zeros(2), ["p", "q"], "node volumes must be numbers"),
+        ([[1.0, np.nan], [np.nan, 1.0]], np.zeros(2), np.ones(2), r"weights must be in \[0, 1\]"),
+        ([[1.0, 2.0], [2.0, 1.0]], np.zeros(2), np.ones(2), r"weights must be in \[0, 1\]"),
+        ([[1.0, -0.25], [-0.25, 1.0]], np.zeros(2), np.ones(2), r"weights must be in \[0, 1\]"),
+        ([[np.inf, 0.5], [0.5, 1.0]], np.zeros(2), np.ones(2), r"weights must be in \[0, 1\]"),
+    ], ids=["weights", "strength", "volume", "nan-volume", "inf-volume", "negative-volume",
+            "text-volume", "nan-weight", "weight-above-one", "negative-weight", "inf-weight"])
     def test_constructor_checks_shapes_and_volumes(self, weights, strength, volume, match):
         with pytest.raises(DataError, match=match):
             ProximityNetwork("fields", ("a", "b"), weights, strength, volume)
+
+    def test_constructor_accepts_signed_zero_weights(self):
+        net = ProximityNetwork("fields", ("a", "b"), [[1.0, -0.0], [-0.0, 1.0]],
+                               np.zeros(2), np.ones(2))
+        assert np.signbit(net.weights[0, 1])
+
+    def test_volumes_must_be_numbers(self):
+        adv = adv_from([[1, 0, 1], [0, 1, 1]])
+        with pytest.raises(DataError, match="node volumes must be numbers"):
+            field_proximity(adv, ["p", "q", "r"])
+        with pytest.raises(DataError, match="node volumes must be numbers"):
+            country_proximity(adv, [{}, 1.0])
 
 
 class TestProximityCsv:
