@@ -16,7 +16,6 @@ from .ingest import (
     LabelRegistry,
     ProductionTable,
     parse_production_csv,
-    parse_production_wide_csv,
     resolve_labels,
     validate_alignment,
 )
@@ -34,8 +33,8 @@ from .proximity import (
     country_proximity,
     field_proximity,
 )
-from .stats import DistributionSummary, pearson, skewness_report, summarize
-from .netexport import NetworkLayout, backbone, build_layout, emit, order_nodes, size_nodes
+from .stats import DistributionSummary, pearson, summarize
+from .netexport import NetworkLayout, backbone, build_layout, emit, size_nodes
 
 __all__ = [
     "AdvantageMatrix",
@@ -59,13 +58,10 @@ __all__ = [
     "diversity",
     "emit",
     "field_proximity",
-    "order_nodes",
     "parse_production_csv",
-    "parse_production_wide_csv",
     "pearson",
     "resolve_labels",
     "size_nodes",
-    "skewness_report",
     "summarize",
     "threshold_advantage",
     "ubiquity",

@@ -6,9 +6,10 @@ which materializes a bundled synthetic dataset, analyzes it and prints a
 digest, so the tool can be exercised with zero external data.
 
 Exit codes: 0 success, 2 I/O failure, 3 data validation failure, 64 usage.
-All outputs are written atomically (temp file + rename) and contain no
-timestamps, so identical inputs and configuration produce byte-identical
-output trees.
+Each output file is replaced atomically (temp file + rename), but a run is
+not: one that fails keeps the files it wrote before the failure.  Outputs
+contain no timestamps, so identical inputs and configuration produce
+byte-identical output trees.
 """
 from __future__ import annotations
 
@@ -136,7 +137,10 @@ def _load_dataset(cfg: RunConfig) -> _LoadedDataset:
     for table in tables:
         with warnings_module.catch_warnings(record=True) as caught:
             warnings_module.simplefilter("always")
-            analyses.append(analyze_index(table, cfg.quartile_rule))
+            try:
+                analyses.append(analyze_index(table, cfg.quartile_rule))
+            except DataError as exc:
+                raise DataError(f"{table.index_kind.value}: {exc}") from None
         collected.extend(f"{table.index_kind.value}: {w.message}" for w in caught)
     return _LoadedDataset(manifest.dataset_name, manifest.period, inputs, analyses, collected)
 

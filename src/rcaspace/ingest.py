@@ -1,9 +1,8 @@
 """Parsing, validation and normalization of country x field production tables.
 
-The canonical input is a long-form CSV with a mandatory ``country,field,value``
-header (UTF-8, comma separated, double-quoted fields allowed), one file per
-production index.  A wide-matrix reader is provided as a convenience; both
-readers feed the same cell validation and table build.  Name matching is
+The input is a long-form CSV with a mandatory ``country,field,value`` header
+(UTF-8, comma separated, double-quoted fields allowed), one file per
+production index, read by :func:`parse_production_csv`.  Name matching is
 exact after Unicode NFC normalization and surrounding-whitespace trim; there
 is no fuzzy matching, silent merges being worse than warnings.
 
@@ -405,26 +404,6 @@ def _long_cells(rows: _Rows) -> _Cells:
         yield line, row[0], row[1], row[2]
 
 
-def _wide_cells(rows: _Rows) -> _Cells:
-    header_line, header = next(rows, (0, None))
-    if header is None or len(header) < 2 or header[0].strip().lower() != "country":
-        raise DataError("invalid wide header: expected country,<field>,...")
-    seen: set[str] = set()
-    for name in map(normalize_name, header[1:]):
-        if not name:
-            raise DataError(f"empty field name at line {header_line}")
-        if name in seen:
-            raise DataError(f"duplicate field {name!r} at line {header_line}")
-        seen.add(name)
-    for line, row in rows:
-        if len(row) != len(header):
-            raise DataError(
-                f"expected {len(header)} columns, got {len(row)} at line {line}"
-            )
-        for field, text in zip(header[1:], row[1:]):
-            yield line, row[0], field, text if text.strip() else "0"
-
-
 def parse_production_csv(source: Source, index_kind: IndexKind) -> ProductionTable:
     """Parse a long-form ``country,field,value`` CSV into a ProductionTable.
 
@@ -444,16 +423,6 @@ def parse_production_csv(source: Source, index_kind: IndexKind) -> ProductionTab
             stream.seek(start)
             table = _table_from_cells(_long_cells(_csv_rows(stream)), index_kind)
     return table
-
-
-def parse_production_wide_csv(source: Source, index_kind: IndexKind) -> ProductionTable:
-    """Parse a wide matrix CSV (header: country,<field>,...; one row per country).
-
-    Blank cells become zeros.  The cells go through the same validation as
-    :func:`parse_production_csv`, and errors name the line of the file.
-    """
-    with _open_text(source) as stream:
-        return _table_from_cells(_wide_cells(_csv_rows(stream)), index_kind)
 
 
 def resolve_labels(table: ProductionTable, registry: LabelRegistry = FIELD_LABELS) -> ProductionTable:
@@ -615,7 +584,7 @@ def load_manifest(path: str | Path) -> Manifest:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise DataError(f"manifest {path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise DataError(f"manifest {path}: expected a JSON object")

@@ -30,9 +30,9 @@ FORMATS = ("dot", "graphml", "json", "csv", "svg")
 
 #: Default backbone weight threshold (CLI-overridable).
 DEFAULT_THRESHOLD = 0.4
-#: Default node radius range in display units.
-DEFAULT_MIN_RADIUS = 8.0
-DEFAULT_MAX_RADIUS = 40.0
+#: Node radius range in display units.
+MIN_RADIUS = 8.0
+MAX_RADIUS = 40.0
 
 #: SVG geometry: fixed viewport and the two concentric ring radii.
 SVG_SIZE = 1000
@@ -185,41 +185,24 @@ def backbone(net: ProximityNetwork, threshold: float = DEFAULT_THRESHOLD) -> lis
     return _backbone_in_numpy(net.nodes, net.weights, threshold)
 
 
-def _strength_order(net: ProximityNetwork) -> list[int]:
-    """Node indexes by ascending strength, ties broken by name."""
-    keys = list(zip(net.node_strength.tolist(), net.nodes))
-    return sorted(range(len(keys)), key=keys.__getitem__)
-
-
-def order_nodes(net: ProximityNetwork) -> tuple[str, ...]:
-    """Node names by ascending strength, ties broken lexicographically."""
-    return tuple(map(net.nodes.__getitem__, _strength_order(net)))
-
-
-def size_nodes(net: ProximityNetwork,
-               min_radius: float = DEFAULT_MIN_RADIUS,
-               max_radius: float = DEFAULT_MAX_RADIUS) -> np.ndarray:
+def size_nodes(net: ProximityNetwork) -> np.ndarray:
     """Display radii aligned with net.nodes; node area tracks volume.
 
-    radius = min + (max - min) * sqrt(volume / max_volume), the sqrt making
-    the drawn area proportional to the volume.  All-zero volumes collapse
-    every node to the minimum radius.
+    radius = MIN_RADIUS + (MAX_RADIUS - MIN_RADIUS) * sqrt(volume / max_volume),
+    the sqrt making the drawn area proportional to the volume.  All-zero
+    volumes collapse every node to MIN_RADIUS.
     """
-    if not min_radius < max_radius:
-        raise DataError("size_nodes requires min_radius < max_radius")
     volumes = net.node_volume  # finite and non-negative, as ProximityNetwork checks
     top = volumes.max() if volumes.size else 0.0
     if top == 0.0:
-        return np.full(volumes.shape, float(min_radius))
-    return min_radius + (max_radius - min_radius) * np.sqrt(volumes / top)
+        return np.full(volumes.shape, MIN_RADIUS)
+    return MIN_RADIUS + (MAX_RADIUS - MIN_RADIUS) * np.sqrt(volumes / top)
 
 
-def build_layout(net: ProximityNetwork,
-                 threshold: float = DEFAULT_THRESHOLD,
-                 min_radius: float = DEFAULT_MIN_RADIUS,
-                 max_radius: float = DEFAULT_MAX_RADIUS) -> NetworkLayout:
+def build_layout(net: ProximityNetwork, threshold: float = DEFAULT_THRESHOLD) -> NetworkLayout:
     """Order, ring-assign, place and size the nodes; filter the edges."""
-    order = _strength_order(net)
+    keys = list(zip(net.node_strength.tolist(), net.nodes))
+    order = sorted(range(len(keys)), key=keys.__getitem__)  # ascending strength, then name
     n = len(order)
     n_inner = (n + 1) // 2  # lower-strength half, odd counts lean inner
     at = np.array(order, dtype=np.intp)
@@ -231,7 +214,7 @@ def build_layout(net: ProximityNetwork,
         ring=("inner",) * n_inner + ("outer",) * (n - n_inner),
         angle=np.array([2.0 * math.pi * k / m for m in (n_inner, n - n_inner) for k in range(m)],
                        dtype=np.float64),
-        radius=size_nodes(net, min_radius, max_radius)[at],
+        radius=size_nodes(net)[at],
         edges=tuple(backbone(net, threshold)),
     )
 

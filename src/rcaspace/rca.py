@@ -13,6 +13,7 @@ many cells were affected.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -61,7 +62,8 @@ class AdvantageMatrix:
 def compute_rca(table: ProductionTable) -> RcaMatrix:
     """Compute the RCA matrix of a production table.
 
-    Raises DataError("empty production") when the grand total is zero.
+    Raises DataError("empty production") when the grand total is zero, and
+    DataError when it overflows to inf.
     Sums are accumulated with numpy's pairwise reduction, keeping the error
     bounded on large tables; results are deterministic.
     """
@@ -71,6 +73,8 @@ def compute_rca(table: ProductionTable) -> RcaMatrix:
     grand_total = country_totals.sum()
     if grand_total == 0.0:
         raise DataError("empty production")
+    if not math.isfinite(grand_total):
+        raise DataError("production total overflows float64 (sums to inf)")
 
     world_share = field_totals / grand_total
     active = country_totals > 0

@@ -188,17 +188,11 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def classify_skew(summary: DistributionSummary, tolerance: float = SYMMETRY_TOLERANCE) -> str:
+def classify_skew(summary: DistributionSummary) -> str:
     """Classify a summary as right-skewed, symmetric, or left-skewed."""
-    if abs(summary.quartile_skew) <= tolerance * summary.iqr:
+    if abs(summary.quartile_skew) <= SYMMETRY_TOLERANCE * summary.iqr:
         return "symmetric"
     return "right-skewed" if summary.quartile_skew > 0 else "left-skewed"
-
-
-def skewness_report(summaries: Mapping[str, DistributionSummary],
-                    tolerance: float = SYMMETRY_TOLERANCE) -> dict[str, str]:
-    """Classification of each named distribution by quartile skew."""
-    return {name: classify_skew(summary, tolerance) for name, summary in summaries.items()}
 
 
 def summary_table_text(summaries: Mapping[str, DistributionSummary]) -> str:

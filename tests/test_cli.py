@@ -210,6 +210,31 @@ class TestErrorContract:
         assert code == EXIT_DATA
         assert f"manifest {manifest}: invalid JSON" in capsys.readouterr().err
 
+    def test_deeply_nested_manifest_is_data_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("[" * 100_000 + "]" * 100_000)
+        code = main(["rca", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert f"manifest {manifest}: invalid JSON" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("table, cause", [
+        # the Mth total, and so the grand total, overflows to inf
+        ("A,Mth,1e308\nB,Mth,1e308\nA,Chm,1\n", "overflows"),
+        # the world share of F underflows to 0, so RCA(A, F) is inf
+        ("A,F,5e-324\nA,G,5e-324\nB,F,5e-324\nB,G,1\n", "non-finite"),
+    ], ids=["overflowing-total", "underflowing-share"])
+    def test_analysis_error_names_its_index(self, tmp_path, capsys, table, cause):
+        manifest = write_dataset(tmp_path, {"documents": "country,field,value\n" + table})
+        out = tmp_path / "o"
+        code = main(["report", "--manifest", str(manifest), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("rcaspace: error: documents: ")
+        assert cause in err
+        assert not out.exists()
+
     def test_invalid_utf8_table_is_data_error(self, tmp_path, capsys):
         manifest = write_dataset(tmp_path, {"documents": DOCS_CSV})
         (tmp_path / "documents.csv").write_bytes(b"country,field,value\nA,M\xffth,1\n")

@@ -19,7 +19,6 @@ from rcaspace.ingest import (
     FIELD_LABELS,
     matrix_csv_text,
     parse_production_csv,
-    parse_production_wide_csv,
     production_csv_text,
 )
 from rcaspace.netexport import FORMATS, build_layout, emit
@@ -49,13 +48,6 @@ LONG_CSV = (
     "Plain,Mathematics,5\n"
     "Plain,\"Say \"\"when\"\"\",4\n"
     "\"The \"\"Quoted\"\" Republic\",\"Say \"\"when\"\"\",6e0\n"
-)
-WIDE_CSV = (
-    "country,\"Economics, Econometrics and Finance\",Mathematics,Me\u0301decine,"
-    "\"Say \"\"when\"\"\"\n"
-    "\"The \"\"Quoted\"\" Republic\",3,0.1,,6\n"
-    "Co\u0302te d'Ivoire,0,7,12.5,\n"
-    "Plain,,5,2,4\n"
 )
 
 
@@ -94,9 +86,7 @@ def _tiny_artifacts(table):
 
 def test_tiny_quoting_and_nfc():
     long = parse_production_csv(io.StringIO(LONG_CSV), IndexKind.DOCUMENTS)
-    wide = parse_production_wide_csv(io.StringIO(WIDE_CSV), IndexKind.DOCUMENTS)
     assert "C\u00f4te d'Ivoire" in long.countries
-    assert wide == long
     assert hashlib.sha256(_tiny_artifacts(long)).hexdigest() == TINY_SHA256
 
 

@@ -21,7 +21,6 @@ from rcaspace import (
     RcaMatrix,
     UnknownFieldWarning,
     parse_production_csv,
-    parse_production_wide_csv,
     resolve_labels,
     validate_alignment,
 )
@@ -150,42 +149,6 @@ class TestParseLongCsv:
     def test_accepts_binary_stream(self):
         data = io.BytesIO("country,field,value\nA,Mth,1\n".encode("utf-8"))
         assert parse_production_csv(data, IndexKind.DOCUMENTS).values[0, 0] == 1.0
-
-
-class TestWideCsv:
-    def test_matches_long_form(self):
-        wide = parse_production_wide_csv(
-            io.StringIO("country,Mth,Chm\nA,10,0\nB,5,\n"), IndexKind.DOCUMENTS
-        )
-        long = parse("country,field,value\nA,Mth,10\nA,Chm,0\nB,Mth,5\nB,Chm,0\n")
-        assert wide == long
-
-    def test_negative_rejected(self):
-        with pytest.raises(DataError, match="negative"):
-            parse_production_wide_csv(
-                io.StringIO("country,Mth\nA,-1\n"), IndexKind.DOCUMENTS
-            )
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("country,Mth,Chm\nA,1,2\nB,x,3\n", "non-numeric value 'x' at line 3"),
-            ("country,Mth\nA,1\n\nB,1,2\n", "got 3 at line 4"),
-            ("country,Mth\nA," + "1" * 200_000 + "\n", "malformed CSV at line 2"),
-            ("nation,Mth\nA,1\n", "invalid wide header"),
-            ("country,Mth,\nA,1,2\n", "empty field name at line 1"),
-            ("country,Mth\nA,1\nA,2\n", r"line 3 \(first at line 2\)"),
-            ("country,Mth,Mth\nA,1,2\n", "duplicate field 'Mth' at line 1"),
-            ("country,Caf\u00e9, Cafe\u0301\nA,1,2\n", "duplicate field 'Caf\u00e9' at line 1"),
-        ],
-        ids=[
-            "bad-cell", "ragged-after-blank", "oversized-field", "bad-header",
-            "empty-field-name", "duplicate", "duplicate-field", "duplicate-field-nfc",
-        ],
-    )
-    def test_errors_name_file_lines(self, text, message):
-        with pytest.raises(DataError, match=message):
-            parse_production_wide_csv(io.StringIO(text), IndexKind.DOCUMENTS)
 
 
 class TestResolveLabels:
@@ -668,7 +631,6 @@ class TestSourceKinds:
     @pytest.mark.parametrize("parse, text", [
         (parse_production_csv, "country,field,value\nA,Mth,1\rB,Mth,2"),
         (parse_production_csv, "country,field,value\r\nA,Mth,1\rB,Mth,2\r\n"),
-        (parse_production_wide_csv, "country,Mth\rA,1\rB,2\n"),
     ])
     def test_bare_carriage_return_ends_a_row(self, tmp_path, parse, text):
         for kind, source in self.sources(text, tmp_path / "t.csv").items():

@@ -18,7 +18,6 @@ from rcaspace import (
     build_layout,
     country_proximity,
     emit,
-    order_nodes,
     size_nodes,
 )
 from rcaspace.netexport import PYTHON_LISTING_MAX_PAIRS
@@ -276,20 +275,19 @@ class TestOrderAndSize:
             nodes=("A", "B", "C"),
         )
         # strengths: A=1.8, B=1.0, C=1.0; tie between B and C is alphabetic
-        assert order_nodes(net) == ("B", "C", "A")
+        assert build_layout(net).nodes == ("B", "C", "A")
 
     def test_equal_strengths_alphabetical(self):
         net = net_from(np.zeros((3, 3)), nodes=("zeta", "alpha", "mid"))
-        assert order_nodes(net) == ("alpha", "mid", "zeta")
+        assert build_layout(net).nodes == ("alpha", "mid", "zeta")
 
     def test_radius_endpoints(self):
         net = net_from(np.zeros((2, 2)), volumes=[0.0, 100.0])
-        radii = size_nodes(net, min_radius=8.0, max_radius=40.0)
-        assert radii.tolist() == [8.0, 40.0]
+        assert size_nodes(net).tolist() == [8.0, 40.0]
 
     def test_area_proportional_to_volume(self):
         net = net_from(np.zeros((2, 2)), volumes=[25.0, 100.0])
-        radii = size_nodes(net, min_radius=8.0, max_radius=40.0)
+        radii = size_nodes(net)
         # quarter volume -> half the radius span above the minimum
         assert radii[0] == 8.0 + 32.0 * 0.5
         assert radii[1] == 40.0
@@ -301,10 +299,6 @@ class TestOrderAndSize:
     def test_all_zero_volumes_min_radius(self):
         net = net_from(np.zeros((3, 3)))
         assert set(size_nodes(net).tolist()) == {8.0}
-
-    def test_bad_radius_range(self):
-        with pytest.raises(DataError, match="min_radius"):
-            size_nodes(net_from(np.zeros((1, 1))), min_radius=5.0, max_radius=5.0)
 
 
 class TestBuildLayout:
@@ -332,7 +326,7 @@ class TestBuildLayout:
             nodes=("A", "B", "C"),
         )
         layout = build_layout(net)
-        assert layout.nodes == order_nodes(net)
+        assert layout.nodes == ("B", "C", "A")
         assert list(layout.strength) == sorted(layout.strength)
 
     def test_arrays_follow_node_order(self):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rcaspace import DataError, DistributionSummary, pearson, skewness_report, summarize
+from rcaspace import DataError, DistributionSummary, pearson, summarize
 from rcaspace.stats import (
     QUARTILE_RULES,
     SYMMETRY_TOLERANCE,
@@ -210,22 +210,13 @@ class TestSkewClassification:
         assert classify_skew(five_number(2.0, 2.0, 2.0)) == "symmetric"
 
     def test_band_edge_is_inclusive(self):
-        # quartile skew exactly equal to tolerance * IQR stays symmetric
-        s = five_number(0.0, 1.5, 4.0)  # skew = 1.0, iqr = 4.0
-        assert classify_skew(s, tolerance=0.25) == "symmetric"
-        assert classify_skew(s, tolerance=0.2) == "right-skewed"
+        # quartile skew exactly equal to 0.15 * IQR stays symmetric
+        s = five_number(0.0, 8.5, 20.0)  # skew = 3.0 == 0.15 * 20.0, exactly
+        assert classify_skew(s) == "symmetric"
+        assert classify_skew(five_number(0.0, 8.25, 20.0)) == "right-skewed"  # skew = 3.5
 
     def test_default_tolerance(self):
         assert SYMMETRY_TOLERANCE == 0.15
-
-    def test_report_maps_names(self):
-        report = skewness_report(
-            {
-                "documents": five_number(0.416, 0.827, 1.427),
-                "h_index": five_number(0.640, 0.952, 1.290),
-            }
-        )
-        assert report == {"documents": "right-skewed", "h_index": "symmetric"}
 
 
 class TestSummaryTable:
