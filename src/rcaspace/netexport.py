@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, Sequence
-from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
@@ -98,13 +97,17 @@ def spanning_forest(n_nodes: int, a: Sequence[int], b: Sequence[int]) -> list[in
     The pairs go to the union-find in blocks that double in length.  Before
     each block, one vector compare of the tree roots drops the pairs whose
     ends already share a tree, so the Python loop skips most of a dense
-    graph's tail.
+    graph's tail.  The loop stops once the nodes that appear in any pair form
+    one tree, so isolated nodes do not send it through the rest of the pairs.
     """
-    a, b = np.asarray(a), np.asarray(b)
+    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+    paired = np.zeros(n_nodes, dtype=bool)
+    paired[a] = paired[b] = True
+    last_join = np.count_nonzero(paired) - 1  # if the paired nodes are connected
     parent = list(range(n_nodes))
     joined: list[int] = []
     start, stop = 0, n_nodes
-    while start < len(a) and len(joined) < n_nodes - 1:
+    while start < len(a) and len(joined) < last_join:
         roots = np.array(parent)
         while not np.array_equal(roots, roots[roots]):
             roots = roots[roots]
@@ -287,6 +290,26 @@ def _emit_dot(layout: NetworkLayout) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _xml_escape(text: str) -> str:
+    """``text`` with ``&``, ``>`` and ``<`` escaped, as ``xml.sax.saxutils.escape``."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _xml_quoteattr(text: str) -> str:
+    """``text`` as an XML attribute value, quoted, as ``xml.sax.saxutils.quoteattr``.
+
+    Newline, carriage return and tab become character references; the value
+    goes in double quotes, or in single quotes if it holds ``"`` but no
+    ``'``, and if it holds both, each ``"`` becomes ``&quot;``.
+    """
+    text = _xml_escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
+
+
 _GRAPHML_KEYS = (
     ("d_strength", "node", "strength", "double"),
     ("d_volume", "node", "volume", "double"),
@@ -298,7 +321,7 @@ _GRAPHML_KEYS = (
 
 
 def _emit_graphml(layout: NetworkLayout) -> str:
-    quoted, weight = dict(zip(layout.nodes, map(quoteattr, layout.nodes))), _FloatTexts()
+    quoted, weight = dict(zip(layout.nodes, map(_xml_quoteattr, layout.nodes))), _FloatTexts()
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
@@ -313,7 +336,7 @@ def _emit_graphml(layout: NetworkLayout) -> str:
         lines.append(f"    <node id={quoted[name]}>")
         lines.append(f'      <data key="d_strength">{float(s)!r}</data>')
         lines.append(f'      <data key="d_volume">{float(v)!r}</data>')
-        lines.append(f'      <data key="d_ring">{escape(r)}</data>')
+        lines.append(f'      <data key="d_ring">{_xml_escape(r)}</data>')
         lines.append(f'      <data key="d_angle">{float(t)!r}</data>')
         lines.append(f'      <data key="d_radius">{float(d)!r}</data>')
         lines.append("    </node>")
@@ -379,7 +402,7 @@ def _emit_svg(layout: NetworkLayout) -> str:
         anchor = "start" if dx >= 0 else "end"
         lines.append(
             f'  <text x="{lx:.2f}" y="{ly:.2f}" font-family="Helvetica,sans-serif" '
-            f'font-size="14" text-anchor="{anchor}">{escape(name)}</text>'
+            f'font-size="14" text-anchor="{anchor}">{_xml_escape(name)}</text>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

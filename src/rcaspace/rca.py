@@ -62,8 +62,9 @@ class AdvantageMatrix:
 def compute_rca(table: ProductionTable) -> RcaMatrix:
     """Compute the RCA matrix of a production table.
 
-    Raises DataError("empty production") when the grand total is zero, and
-    DataError when it overflows to inf.
+    Raises DataError("empty production") when the grand total is zero,
+    DataError when it overflows to inf, and DataError("non-finite RCA ...")
+    when a cell's quotient overflows.
     Sums are accumulated with numpy's pairwise reduction, keeping the error
     bounded on large tables; results are deterministic.
     """
@@ -84,6 +85,14 @@ def compute_rca(table: ProductionTable) -> RcaMatrix:
     values = (x / np.where(active, country_totals, 1.0)[:, None]
               / np.where(world_share > 0, world_share, np.inf))
     values += 0.0  # a -0.0 cell has RCA +0.0
+    # Each cell is at most 1 after the first division, so only a subnormal
+    # world share can overflow the quotient; one max finds that cell.
+    if not math.isfinite(values.max()):
+        c, f = np.unravel_index(np.argmax(values), values.shape)
+        raise DataError(
+            f"non-finite RCA at ({table.countries[c]}, {table.fields[f]}): the quotient "
+            f"overflows because the field's world share {float(world_share[f])!r} is subnormal"
+        )
     defined = active[:, None] & (field_totals > 0)
 
     n_undefined = defined.size - np.count_nonzero(defined)

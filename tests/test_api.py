@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import rcaspace
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # The library surface.  A name added to or removed from it is an API change:
 # update this list, README and CHANGES.md together.
@@ -39,3 +46,27 @@ def test_public_api_is_pinned():
     assert PUBLIC_API == sorted(PUBLIC_API)
     assert rcaspace.__all__ == PUBLIC_API
     assert all(hasattr(rcaspace, name) for name in PUBLIC_API)
+
+
+#: Top-level modules that ``import rcaspace.cli`` must not load: a start-up
+#: cost (urllib.request, http, email and ssl come in through xml.sax.saxutils)
+#: that no command needs.
+IMPORT_BUDGET_EXCLUDED = {"urllib", "http", "email", "ssl", "socket", "xml"}
+
+# Modules that site preloads (urllib among them, on some installs) are in
+# ``before``, so only what the import itself loads is counted.
+NEW_TOP_LEVEL_MODULES = """
+import sys
+before = set(sys.modules)
+import rcaspace.cli
+print(" ".join(sorted({name.split(".")[0] for name in set(sys.modules) - before})))
+"""
+
+
+def test_cli_import_stays_off_the_network_and_xml_stack():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    child = subprocess.run([sys.executable, "-c", NEW_TOP_LEVEL_MODULES], env=env,
+                           capture_output=True, text=True, check=True)
+    loaded = set(child.stdout.split())
+    assert "rcaspace" in loaded
+    assert not loaded & IMPORT_BUDGET_EXCLUDED, sorted(loaded & IMPORT_BUDGET_EXCLUDED)

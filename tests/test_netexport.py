@@ -20,6 +20,7 @@ from rcaspace import (
     emit,
     size_nodes,
 )
+from rcaspace import netexport
 from rcaspace.netexport import PYTHON_LISTING_MAX_PAIRS
 
 from .oracles import reference_backbone
@@ -226,6 +227,28 @@ class TestBackboneReference:
         for threshold in (0.0, 0.4):
             expected = reference_backbone(net.nodes, net.weights.tolist(), threshold)
             assert backbone(net, threshold) == expected
+
+    def test_isolated_nodes_stop_the_forest_at_its_last_join(self, monkeypatch):
+        # 30 connected nodes and 10 isolated ones: once the 30 form one tree,
+        # no later block of pairs goes to the union-find
+        rng = np.random.default_rng(7)
+        w = np.triu(rng.random((40, 40)), 1)
+        w[30:, :] = w[:, 30:] = 0.0
+        net = net_from(w + w.T + np.eye(40), [f"n{k:02d}" for k in rng.permutation(40)])
+        joins_per_block, real_union = [], netexport._union
+
+        def union(parent, a, b):
+            joined = real_union(parent, a, b)
+            joins_per_block.append(len(joined))
+            return joined
+
+        monkeypatch.setattr(netexport, "_union", union)
+        for threshold in (0.0, 0.4, 1.0):
+            joins_per_block.clear()
+            expected = reference_backbone(net.nodes, net.weights.tolist(), threshold)
+            assert backbone(net, threshold) == expected
+            assert sum(joins_per_block) == 29
+            assert joins_per_block[-1] > 0
 
     @pytest.mark.parametrize("n", [3, _SMALL_N + 1])
     def test_asymmetric_weights_read_upper_triangle(self, n):

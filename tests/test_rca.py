@@ -62,6 +62,15 @@ class TestComputeRca:
         with pytest.raises(DataError, match="empty production"):
             rca_of(make_table, np.zeros((2, 3)))
 
+    def test_overflowing_cell_rejected(self, make_table):
+        # F's world share, 1e-323, is subnormal: RCA(A, F) = 0.5 / 1e-323 overflows
+        table = make_table([[5e-324, 5e-324], [5e-324, 1.0]], countries=("A", "B"),
+                           fields=("F", "G"))
+        with pytest.raises(DataError, match=r"non-finite RCA at \(A, F\).*"
+                                            r"world share 1e-323 is subnormal"):
+            with np.errstate(over="ignore"):
+                compute_rca(table)
+
     def test_no_warning_when_all_defined(self, make_table):
         import warnings
 

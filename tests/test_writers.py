@@ -5,20 +5,29 @@ the writers under test quote each name once per call, format each distinct
 weight once and format the cells of a matrix in one pass.
 """
 import unicodedata
+from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcaspace.ingest import matrix_csv_text
-from rcaspace.netexport import FORMATS, NetworkLayout, build_layout, emit
+from rcaspace.netexport import (
+    FORMATS,
+    NetworkLayout,
+    _xml_escape,
+    _xml_quoteattr,
+    build_layout,
+    emit,
+)
 from rcaspace.proximity import ProximityNetwork, proximity_csv_text
 
 from .oracles import reference_emit, reference_matrix_csv_text, reference_proximity_csv_text
 
 # Names that each writer must quote or escape, in NFC, NFD and non-ASCII forms.
-TRICKY_NAMES = ("a,b", 'say "x"', "<tag>", "&amp", "it's", "back\\slash", "Z", "a", "",
-                unicodedata.normalize("NFC", "M\u00e9decine"),
+# 'it\'s "x"' holds both quotes, so an XML attribute writes its " as &quot;.
+TRICKY_NAMES = ("a,b", 'say "x"', "<tag>", "&amp", "it's", 'it\'s "x"', "back\\slash", "Z",
+                "a", "", unicodedata.normalize("NFC", "M\u00e9decine"),
                 unicodedata.normalize("NFD", "M\u00e9decine"),
                 "\u4e2d\u56fd", "line\nbreak", "tab\tcr\r", "\u00a0nbsp", "emoji \U0001f600")
 names = st.one_of(st.sampled_from(TRICKY_NAMES), st.text(max_size=4))
@@ -75,6 +84,13 @@ def layouts(draw):
 def test_emitters_match_reference(layout):
     for fmt in FORMATS:
         assert emit(layout, fmt) == reference_emit(layout, fmt), fmt
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), st.text(st.sampled_from("&<>\"'\n\r\tx\u00e9"))))
+def test_xml_helpers_match_saxutils(text):
+    assert _xml_escape(text) == escape(text)
+    assert _xml_quoteattr(text) == quoteattr(text)
 
 
 @settings(max_examples=200, deadline=None)
