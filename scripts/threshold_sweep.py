@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from rcaspace.cli import RunConfig, _load_dataset, _proximity_network
+from rcaspace.cli import RunConfig, load_dataset, proximity_network
 from rcaspace.demo import write_demo_dataset
 from rcaspace.errors import DataError
 from rcaspace.ingest import IndexKind
@@ -39,14 +39,14 @@ def main() -> int:
         cfg = RunConfig(manifest=manifest, out=Path(scratch),
                         indexes=(IndexKind.parse(args.index),))
         try:
-            data = _load_dataset(cfg)
+            data = load_dataset(cfg)
         except DataError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
     for message in data.warnings:
         print(f"warning: {message}", file=sys.stderr)
     (analysis,) = data.analyses
-    net = _proximity_network(analysis, args.mode)
+    net = proximity_network(analysis, args.mode)
 
     n = len(net.nodes)
     index = {name: i for i, name in enumerate(net.nodes)}

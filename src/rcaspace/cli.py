@@ -36,7 +36,7 @@ from .ingest import (
 )
 from .netexport import DEFAULT_THRESHOLD, FORMATS, build_layout, emit
 from .proximity import MODES, country_proximity, field_proximity, proximity_csv_text
-from .report import IndexAnalysis, analyze_index, build_report, correlation_pairs, sha256_file
+from .report import AnalysisReport, IndexAnalysis, analyze_index, build_report, sha256_file
 from .stats import QUARTILE_RULES
 
 EXIT_OK = 0
@@ -98,7 +98,8 @@ class _LoadedDataset:
     warnings: list[str] = field(default_factory=list)
 
 
-def _load_dataset(cfg: RunConfig) -> _LoadedDataset:
+def load_dataset(cfg: RunConfig) -> _LoadedDataset:
+    """Parse, label, align and analyze ``cfg``'s tables; warnings are collected, prefixed."""
     manifest = load_manifest(cfg.manifest)
     entries = list(manifest.tables)
     if cfg.indexes is not None:
@@ -145,7 +146,8 @@ def _load_dataset(cfg: RunConfig) -> _LoadedDataset:
     return _LoadedDataset(manifest.dataset_name, manifest.period, inputs, analyses, collected)
 
 
-def _proximity_network(analysis: IndexAnalysis, mode: str):
+def proximity_network(analysis: IndexAnalysis, mode: str):
+    """The ``mode`` network of ``analysis``, its nodes sized by production totals."""
     if mode == "fields":
         return field_proximity(analysis.advantage, analysis.table.field_totals())
     return country_proximity(analysis.advantage, analysis.table.country_totals())
@@ -177,13 +179,14 @@ COMMANDS = {
 
 
 def _write_artifacts(cfg: RunConfig, data: _LoadedDataset, command: str,
-                     mode: str | None) -> list[str]:
+                     mode: str | None) -> tuple[list[str], AnalysisReport | None]:
     """Write what ``COMMANDS[command]`` declares, each artifact as it is made.
 
-    Returns the names; ``data.warnings`` becomes the report's, which add each null r.
+    Returns the names and the report the summaries were written from, if any.
     """
     spec = COMMANDS[command]
     written = []
+    report = None
 
     def write(name: str, content: str | bytes) -> None:
         _write_bytes(cfg.out / name, content)
@@ -197,7 +200,7 @@ def _write_artifacts(cfg: RunConfig, data: _LoadedDataset, command: str,
                   matrix_csv_text(*grid, a.advantage.m.astype(int)))
     for m in (mode,) if spec.modes is None else spec.modes:
         for a in data.analyses:
-            net = _proximity_network(a, m)
+            net = proximity_network(a, m)
             if spec.proximity:
                 write(f"proximity_{m}_{a.kind.value}.csv", proximity_csv_text(net))
             layout = build_layout(net, cfg.threshold)
@@ -214,21 +217,20 @@ def _write_artifacts(cfg: RunConfig, data: _LoadedDataset, command: str,
             warnings_seen=data.warnings,
             joint_cells=cfg.joint_cells,
         )
-        data.warnings = report.warnings
         for name in spec.summaries:
             write(name, report.to_json() if name.endswith(".json") else report.to_text())
-    return written
+    return written, report
 
 
-def run(cfg: RunConfig, command: str, mode: str | None = None) -> _LoadedDataset:
-    """Load the dataset, write what ``command`` makes of it and list it on stdout."""
-    data = _load_dataset(cfg)
-    written = _write_artifacts(cfg, data, command, mode)
-    for message in data.warnings:
+def run(cfg: RunConfig, command: str, mode: str | None = None) -> AnalysisReport | None:
+    """Load the dataset, write and list what ``command`` makes of it; the report, if any."""
+    data = load_dataset(cfg)
+    written, report = _write_artifacts(cfg, data, command, mode)
+    for message in report.warnings if report else data.warnings:
         print(f"warning: {message}", file=sys.stderr)
     for name in written:
         print(cfg.out / name)
-    return data
+    return report
 
 
 #: How many of the most diverse countries and most ubiquitous fields the demo prints.
@@ -238,16 +240,16 @@ DEMO_TOP = 5
 def cmd_demo(cfg: RunConfig) -> None:
     """Write the bundled dataset to ``cfg.manifest``'s directory, report on it, print a digest."""
     write_demo_dataset(cfg.manifest.parent)
-    data = run(cfg, "demo")
-    print(f"\ndataset: {data.dataset_name} ({data.period})")
+    report = run(cfg, "demo")
+    print(f"\ndataset: {report.dataset_name} ({report.period})")
     print(f"{'index':24s}  {'median RCA':>10s}  {'mean RCA':>9s}  skew")
-    for a in data.analyses:
+    for a in report.analyses:
         print(f"{a.kind.value:24s}  {a.summary.median:10.3f}  {a.summary.mean:9.3f}  {a.skew_class}")
     print("\ncross-index Pearson correlations of RCA values:")
-    for pair in correlation_pairs(data.analyses):
+    for pair in report.correlations:
         r = "n/a" if pair["r"] is None else f"{pair['r']:+.3f}"
         print(f"  {pair['a']} ~ {pair['b']}: r = {r}")
-    first = data.analyses[0]
+    first = report.analyses[0]
     print(f"\nmost diverse countries ({first.kind.value}):")
     _print_top(first.table.countries, first.diversity, "Div")
     print(f"most ubiquitous fields ({first.kind.value}):")

@@ -119,42 +119,26 @@ FIELD_LABELS = LabelRegistry(
 )
 
 
-def frozen(values, dtype) -> np.ndarray:
-    """A read-only, C-contiguous copy of ``values`` as ``dtype``, made in one copy.
-
-    Every array a public constructor of a result dataclass stores passes
-    through here, so no caller can change an object after construction by
-    writing to its own array.
-    """
-    arr = np.array(values, dtype=dtype, order="C")
-    arr.setflags(write=False)
-    return arr
-
-
-def _check_grid(arr: np.ndarray, countries: Sequence, fields: Sequence, what: str) -> np.ndarray:
-    """``arr``, after checking that it has a row per country and a column per field."""
-    if arr.shape != (len(countries), len(fields)):
-        raise DataError(
-            f"{what} shape {arr.shape} does not match "
-            f"{len(countries)} countries x {len(fields)} fields"
-        )
-    return arr
-
-
 def freeze_grid(obj, **dtypes) -> None:
     """Store ``obj``'s countries and fields as tuples, and each array named in
-    ``dtypes`` as ``frozen`` of that dtype with a row per country and a
-    column per field (DataError otherwise).
+    ``dtypes`` as a read-only, C-contiguous copy of that dtype with a row per
+    country and a column per field (DataError otherwise).
 
-    For the ``__post_init__`` of a frozen result dataclass.
+    For the ``__post_init__`` of a frozen result dataclass: the one copy keeps
+    any caller from changing the object by writing to its own array.
     """
     countries, fields = tuple(obj.countries), tuple(obj.fields)
     object.__setattr__(obj, "countries", countries)
     object.__setattr__(obj, "fields", fields)
     for name, dtype in dtypes.items():
-        arr = frozen(getattr(obj, name), dtype)
-        what = f"{type(obj).__name__}.{name}"
-        object.__setattr__(obj, name, _check_grid(arr, countries, fields, what))
+        arr = np.array(getattr(obj, name), dtype=dtype, order="C")
+        if arr.shape != (len(countries), len(fields)):
+            raise DataError(
+                f"{type(obj).__name__}.{name} shape {arr.shape} does not match "
+                f"{len(countries)} countries x {len(fields)} fields"
+            )
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
 
 
 def _owned(cls, *values):
@@ -540,7 +524,11 @@ def matrix_csv_text(countries: Iterable[str], fields: Iterable[str], values: np.
     ``values`` must have a row per country and a column per field.
     """
     heads_c, heads_f = list(map(_csv_head, countries)), list(map(_csv_head, fields))
-    cells = _check_grid(np.asarray(values), heads_c, heads_f, "matrix").ravel()
+    cells = np.asarray(values)
+    if cells.shape != (len(heads_c), len(heads_f)):
+        raise DataError(f"matrix shape {cells.shape} does not match "
+                        f"{len(heads_c)} countries x {len(heads_f)} fields")
+    cells = cells.ravel()
     if cells.dtype == bool:
         cells = cells.view(np.uint8)
     texts = list(map(repr, cells.tolist()))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .ingest import _csv_head, _FloatTexts, _long_csv_text, _owned, frozen
+from .ingest import _csv_head, _FloatTexts, _long_csv_text, _owned
 from .rca import AdvantageMatrix, diversity, ubiquity
 
 MODES = ("fields", "countries")
@@ -44,8 +44,8 @@ class ProximityNetwork:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise DataError(f"unknown proximity mode {self.mode!r}")
-        for name in ("weights", "node_strength"):
-            object.__setattr__(self, name, frozen(getattr(self, name), np.float64))
+        for name in ("weights", "node_strength"):  # copies: the caller keeps theirs
+            object.__setattr__(self, name, np.array(getattr(self, name), np.float64, order="C"))
         object.__setattr__(self, "nodes", tuple(self.nodes))
         if len(set(self.nodes)) != len(self.nodes):
             raise DataError("duplicate node names")
@@ -56,7 +56,8 @@ class ProximityNetwork:
         if not np.all((self.weights >= 0.0) & (self.weights <= 1.0)):  # NaN fails both
             raise DataError("proximity weights must be in [0, 1]")
         object.__setattr__(self, "node_volume", _node_volumes(self.node_volume, n))
-        self.node_volume.setflags(write=False)
+        for arr in (self.weights, self.node_strength, self.node_volume):
+            arr.setflags(write=False)
 
 
 def _node_volumes(values, n: int) -> np.ndarray:

@@ -82,8 +82,9 @@ def compute_rca(table: ProductionTable) -> RcaMatrix:
     # A zero country total divides as 1: its cells are all zero.  A zero world
     # share (even of a positive field total, by underflow) divides as inf, so
     # its cells, each at most 1 after the first division, come out 0.
-    values = (x / np.where(active, country_totals, 1.0)[:, None]
-              / np.where(world_share > 0, world_share, np.inf))
+    with np.errstate(over="ignore"):  # an overflowing cell is the DataError below
+        values = (x / np.where(active, country_totals, 1.0)[:, None]
+                  / np.where(world_share > 0, world_share, np.inf))
     values += 0.0  # a -0.0 cell has RCA +0.0
     # Each cell is at most 1 after the first division, so only a subnormal
     # world share can overflow the quotient; one max finds that cell.

@@ -100,34 +100,34 @@ def sha256_file(path: str | Path) -> str:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """The aggregated, serializable result of a full pipeline run."""
+    """The serializable result of a pipeline run; its per-index tables derive from ``analyses``."""
 
     dataset_name: str
     period: str
     config: dict
     inputs: list[dict]
-    rca_stats: dict[str, DistributionSummary]
-    skewness: dict[str, str]
+    analyses: list[IndexAnalysis]
     correlations: list[dict]
-    diversity_table: dict[str, dict[str, int]]
-    ubiquity_table: dict[str, dict[str, int]]
     proximity_exports: list[str]
-    undefined_cells: dict[str, int]
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
+        kinds = [a.kind.value for a in self.analyses]
+        first = self.analyses[0]
         return {
             "tool": {"name": "rcaspace", "version": __version__},
             "dataset": {"name": self.dataset_name, "period": self.period},
             "config": self.config,
             "inputs": self.inputs,
-            "rca_stats": {name: s.as_dict() for name, s in self.rca_stats.items()},
-            "skewness": self.skewness,
+            "rca_stats": {k: a.summary.as_dict() for k, a in zip(kinds, self.analyses)},
+            "skewness": {k: a.skew_class for k, a in zip(kinds, self.analyses)},
             "correlations": self.correlations,
-            "diversity": self.diversity_table,
-            "ubiquity": self.ubiquity_table,
+            "diversity": {name: {k: int(a.diversity[i]) for k, a in zip(kinds, self.analyses)}
+                          for i, name in enumerate(first.advantage.countries)},
+            "ubiquity": {name: {k: int(a.ubiquity[j]) for k, a in zip(kinds, self.analyses)}
+                         for j, name in enumerate(first.advantage.fields)},
             "proximity_exports": self.proximity_exports,
-            "undefined_cells": self.undefined_cells,
+            "undefined_cells": {k: a.rca.n_undefined() for k, a in zip(kinds, self.analyses)},
             "warnings": self.warnings,
         }
 
@@ -135,14 +135,15 @@ class AnalysisReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_text(self) -> str:
+        doc = self.to_dict()
         lines = [
             f"dataset: {self.dataset_name} ({self.period})",
             "",
             "RCA distribution summaries (defined cells)",
-            summary_table_text(self.rca_stats).rstrip("\n"),
+            summary_table_text({a.kind.value: a.summary for a in self.analyses}).rstrip("\n"),
             "",
         ]
-        for name, shape in self.skewness.items():
+        for name, shape in doc["skewness"].items():
             lines.append(f"  {name}: {shape}")
         if self.correlations:
             lines.append("")
@@ -153,8 +154,8 @@ class AnalysisReport:
                     extra = f"  (jointly defined cells: r = {_r_text(entry['r_joint'])})"
                 lines.append(f"  {entry['a']} ~ {entry['b']}: r = {_r_text(entry['r'])}{extra}")
         lines.append("")
-        lines.append(_count_table_text("Ubiquity per field", self.ubiquity_table))
-        lines.append(_count_table_text("Diversity per country", self.diversity_table))
+        lines.append(_count_table_text("Ubiquity per field", doc["ubiquity"]))
+        lines.append(_count_table_text("Diversity per country", doc["diversity"]))
         if self.warnings:
             lines.append("warnings:")
             lines.extend(f"  - {w}" for w in self.warnings)
@@ -197,30 +198,16 @@ def build_report(
 ) -> AnalysisReport:
     """Aggregate per-index analyses into one AnalysisReport, warning of each null r."""
     analyses = sorted(analyses, key=lambda a: list(IndexKind).index(a.kind))
-    kinds = [a.kind.value for a in analyses]
     correlations = correlation_pairs(analyses, joint_cells)
     null_r = [f"{e['a']} ~ {e['b']}: {key} is null ({e['reason' + key[1:]]})"
               for e in correlations for key in ("r", "r_joint") if key in e and e[key] is None]
-    first = analyses[0]
-    ubiquity_table = {
-        field_name: {kind: int(a.ubiquity[j]) for kind, a in zip(kinds, analyses)}
-        for j, field_name in enumerate(first.advantage.fields)
-    }
-    diversity_table = {
-        country: {kind: int(a.diversity[i]) for kind, a in zip(kinds, analyses)}
-        for i, country in enumerate(first.advantage.countries)
-    }
     return AnalysisReport(
         dataset_name=dataset_name,
         period=period,
         config=config,
         inputs=inputs,
-        rca_stats={a.kind.value: a.summary for a in analyses},
-        skewness={a.kind.value: a.skew_class for a in analyses},
+        analyses=analyses,
         correlations=correlations,
-        diversity_table=diversity_table,
-        ubiquity_table=ubiquity_table,
         proximity_exports=proximity_exports,
-        undefined_cells={a.kind.value: a.rca.n_undefined() for a in analyses},
         warnings=warnings_seen + null_r,
     )

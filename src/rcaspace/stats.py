@@ -37,20 +37,6 @@ QUARTILE_RULES = (
     "nearest",
 )
 
-#: Hyndman & Fan's (alpha, beta) for the rules that interpolate at the
-#: virtual index n*p + (alpha + p*(1 - alpha - beta)) - 1.
-_ALPHA_BETA = {
-    "interpolated_inverted_cdf": (0, 1),
-    "hazen": (0.5, 0.5),
-    "weibull": (0, 0),
-    "median_unbiased": (1 / 3.0, 1 / 3.0),
-    "normal_unbiased": (3 / 8.0, 3 / 8.0),
-}
-
-#: The rules that take an order statistic at (n - 1) * p, rounded as numpy
-#: does ("nearest" rounds half to even).
-_ROUNDED_INDEX = {"lower": math.floor, "higher": math.ceil, "nearest": round}
-
 #: |quartile skew| <= SYMMETRY_TOLERANCE * IQR classifies as symmetric.
 SYMMETRY_TOLERANCE = 0.15
 
@@ -92,46 +78,27 @@ class DistributionSummary:
         }
 
 
-def _quantile(ordered: np.ndarray, p: float, rule: str) -> float:
-    """The ``p`` quantile of the sorted ``ordered`` by ``rule``, as ``np.quantile`` gives it.
+def _quartiles(ordered: np.ndarray, rule: str) -> list[float]:
+    """q1, median and q3 of the sorted ``ordered`` by ``rule``, as ``np.quantile`` gives them.
 
-    The virtual indexes are Hyndman & Fan's (1996), computed with numpy's
-    formulas in numpy's order of operations; the discrete rules pick numpy's
-    order statistic, and the others interpolate as numpy's ``_lerp`` does,
-    from the upper end when the weight is at least 0.5.
+    The default ``linear`` rule is computed here, since ``np.quantile`` costs
+    several times a whole summary: the virtual index is (n - 1) * p, and the
+    weight t interpolates as numpy's ``_lerp`` does, from the upper end when
+    it is at least 0.5.
     """
+    if rule != "linear":
+        return np.quantile(ordered, (0.25, 0.5, 0.75), method=rule).tolist()
     n = ordered.size
-    if rule in _ROUNDED_INDEX:
-        return ordered.item(_ROUNDED_INDEX[rule]((n - 1) * p))
-    if rule in ("inverted_cdf", "closest_observation"):
-        v = n * p - 1 if rule == "inverted_cdf" else n * p - 1 - 0.5
-        k = math.floor(v)
-        if v != k or (rule == "closest_observation" and k % 2 == 0):
-            k += 1
-        return ordered.item(max(k, 0))
-    if rule == "linear":
+    if n == 1:  # numpy interpolates the value with itself, which gives it back, -0.0 too
+        return [ordered.item(0)] * 3
+    out = []
+    for p in (0.25, 0.5, 0.75):
         v = (n - 1) * p
-    elif rule == "averaged_inverted_cdf":
-        v = n * p - 1
-    elif rule == "midpoint":
-        v = 0.5 * (math.floor((n - 1) * p) + math.ceil((n - 1) * p))
-    else:
-        alpha, beta = _ALPHA_BETA[rule]
-        v = n * p + (alpha + p * (1 - alpha - beta)) - 1
-    if v >= n - 1:  # numpy reads index -1 here, so its weight is v - (-1)
-        i, j, t = n - 1, n - 1, v + 1
-    elif v < 0:
-        i, j, t = 0, 0, v
-    else:
-        i = math.floor(v)
-        j, t = i + 1, v - i
-    if rule == "averaged_inverted_cdf":
-        t = 0.5 if t == 0 else 1.0
-    elif rule == "midpoint":
-        t = 0.0 if v % 1 == 0 else 0.5
-    a, b = ordered.item(i), ordered.item(j)
-    diff = b - a
-    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+        i = int(v)  # v >= 0, so this is its floor, and at most n - 2
+        a, b, t = ordered.item(i), ordered.item(i + 1), v - i
+        diff = b - a
+        out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return out
 
 
 def summarize(values: Iterable[float], quartile_rule: str = "linear") -> DistributionSummary:
@@ -153,14 +120,15 @@ def summarize(values: Iterable[float], quartile_rule: str = "linear") -> Distrib
     minimum, maximum = ordered.item(0), ordered.item(-1)
     if not (math.isfinite(minimum) and math.isfinite(maximum)):
         raise DataError("distribution contains a non-finite value")
+    q1, median, q3 = _quartiles(ordered, quartile_rule)
     return DistributionSummary(
         n=int(arr.size),
         minimum=minimum,
-        q1=_quantile(ordered, 0.25, quartile_rule),
-        median=_quantile(ordered, 0.5, quartile_rule),
+        q1=q1,
+        median=median,
         # rounding can put the mean of equal values one ulp outside them
         mean=min(max(float(arr.mean()), minimum), maximum),
-        q3=_quantile(ordered, 0.75, quartile_rule),
+        q3=q3,
         maximum=maximum,
     )
 
@@ -200,11 +168,8 @@ def summary_table_text(summaries: Mapping[str, DistributionSummary]) -> str:
     headers = ["", "Min.", "1st Qu.", "Median", "Mean", "3rd Qu.", "Max."]
     rows = [headers]
     for name, s in summaries.items():
-        rows.append(
-            [name]
-            + [f"{v:.3f}" for v in (s.minimum, s.q1, s.median, s.mean, s.q3)]
-            + [f"{s.maximum:.3f}"]
-        )
+        values = (s.minimum, s.q1, s.median, s.mean, s.q3, s.maximum)
+        rows.append([name] + [f"{v:.3f}" for v in values])
     widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]
     lines = []
     for row in rows:

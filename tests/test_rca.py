@@ -71,6 +71,16 @@ class TestComputeRca:
             with np.errstate(over="ignore"):
                 compute_rca(table)
 
+    def test_overflowing_cell_raises_without_a_numpy_warning(self, make_table):
+        import warnings
+
+        table = make_table([[5e-324, 5e-324], [5e-324, 1.0]], countries=("A", "B"),
+                           fields=("F", "G"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow RuntimeWarning would raise first
+            with pytest.raises(DataError, match=r"non-finite RCA at \(A, F\)"):
+                compute_rca(table)
+
     def test_no_warning_when_all_defined(self, make_table):
         import warnings
 

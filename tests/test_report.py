@@ -91,10 +91,10 @@ class TestBuildReport:
         )
 
     def test_tables_keyed_by_name(self, three_analyses):
-        report = self.make_report(three_analyses)
-        assert set(report.ubiquity_table) == {"F00", "F01"}
-        assert set(report.diversity_table) == {"C00", "C01"}
-        assert set(report.ubiquity_table["F00"]) == {
+        doc = self.make_report(three_analyses).to_dict()
+        assert set(doc["ubiquity"]) == {"F00", "F01"}
+        assert set(doc["diversity"]) == {"C00", "C01"}
+        assert set(doc["ubiquity"]["F00"]) == {
             "documents",
             "citations",
             "h_index",
@@ -120,7 +120,7 @@ class TestBuildReport:
         with pytest.warns(UserWarning):
             a = analyze_index(make_table([[0.0, 0.0], [3.0, 9.0]]))
         report = self.make_report([a])
-        assert report.undefined_cells == {"documents": 2}
+        assert report.to_dict()["undefined_cells"] == {"documents": 2}
 
     def test_negative_zero_cell_reports_unsigned_zero(self):
         table = parse_production_csv(

@@ -1,7 +1,7 @@
 """End-to-end runs of ``scripts/threshold_sweep.py`` on the bundled demo dataset.
 
 The script loads data through the CLI's pipeline assembly
-(``cli._load_dataset``), so its numbers must match the CLI's.  The demo's
+(``cli.load_dataset``), so its numbers must match the CLI's.  The demo's
 own digest is checked in ``test_cli.py``.
 """
 import subprocess

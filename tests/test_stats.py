@@ -89,6 +89,19 @@ class TestSummarize:
         assert summarize(values, quartile_rule="midpoint").q1 != summarize(values).q1
         assert "linear" in QUARTILE_RULES and QUARTILE_RULES[0] == "linear"
 
+    def test_only_non_default_rules_call_numpy_quantile(self, monkeypatch):
+        class QuantileCalled(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise QuantileCalled
+
+        monkeypatch.setattr("rcaspace.stats.np.quantile", refuse)
+        values = np.array([1.0, 2.0, 3.0, 4.0])
+        assert summarize(values).q1 == 1.75
+        with pytest.raises(QuantileCalled):
+            summarize(values, "hazen")
+
     def test_unknown_rule_rejected(self):
         with pytest.raises(DataError, match="unknown quartile rule"):
             summarize(np.array([1.0]), quartile_rule="mystery")
