@@ -13,7 +13,6 @@ from .errors import DataError, UndefinedCellWarning, UnknownFieldWarning
 from .ingest import (
     FIELD_LABELS,
     IndexKind,
-    LabelRegistry,
     ProductionTable,
     parse_production_csv,
     resolve_labels,
@@ -42,7 +41,6 @@ __all__ = [
     "DistributionSummary",
     "FIELD_LABELS",
     "IndexKind",
-    "LabelRegistry",
     "NetworkLayout",
     "ProductionTable",
     "ProximityNetwork",

@@ -25,7 +25,6 @@ from . import __version__
 from .demo import write_demo_dataset
 from .errors import DataError
 from .ingest import (
-    FIELD_LABELS,
     IndexKind,
     ProductionTable,
     load_manifest,
@@ -119,10 +118,9 @@ def load_dataset(cfg: RunConfig) -> _LoadedDataset:
         with warnings_module.catch_warnings(record=True) as caught:
             warnings_module.simplefilter("always")
             try:
-                table = parse_production_csv(entry.resolved, entry.index)
+                table = resolve_labels(parse_production_csv(entry.resolved, entry.index))
             except DataError as exc:
                 raise DataError(f"{entry.path}: {exc}") from None
-            table = resolve_labels(table, FIELD_LABELS)
         collected.extend(f"{entry.index.value}: {w.message}" for w in caught)
         tables.append(table)
         inputs.append(

@@ -30,7 +30,7 @@ DEMO_COUNTRIES = (
     "Latveria",
 )
 
-DEMO_FIELDS = tuple(name for name, _ in FIELD_LABELS.entries)
+DEMO_FIELDS = tuple(FIELD_LABELS)
 
 DEMO_DATASET_NAME = "rcaspace-demo"
 DEMO_PERIOD = "1996-2011"

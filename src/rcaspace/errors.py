@@ -7,7 +7,7 @@ class DataError(ValueError):
 
 
 class UnknownFieldWarning(UserWarning):
-    """A field name matched neither a registry full name nor a label."""
+    """A field name matched neither a full name nor a label of ``FIELD_LABELS``."""
 
 
 class UndefinedCellWarning(UserWarning):

@@ -19,6 +19,7 @@ import io
 import itertools
 import json
 import math
+import types
 import unicodedata
 import warnings
 from dataclasses import dataclass
@@ -61,62 +62,39 @@ def normalize_name(name: str) -> str:
     return unicodedata.normalize("NFC", name).strip()
 
 
-@dataclass(frozen=True)
-class LabelRegistry:
-    """Bidirectional mapping between field full names and short labels."""
-
-    entries: tuple[tuple[str, str], ...]
-
-    def __post_init__(self) -> None:
-        label_of = dict(self.entries)
-        labels = frozenset(label_of.values())
-        if len(label_of) != len(self.entries):
-            raise DataError("label registry: duplicate full names")
-        if len(labels) != len(self.entries):
-            raise DataError("label registry: duplicate labels")
-        object.__setattr__(self, "_label_of", label_of)
-        object.__setattr__(self, "_labels", labels)
-
-    def label_for(self, full_name: str) -> str | None:
-        return self._label_of.get(full_name)
-
-    def is_label(self, text: str) -> bool:
-        return text in self._labels
-
-
 #: The 27 canonical fields of knowledge of the SCImago country/journal rank
-#: classification and the short labels used in exports and visualizations.
-FIELD_LABELS = LabelRegistry(
-    (
-        ("Mathematics", "Mth"),
-        ("Physics and Astronomy", "Phy-Ast"),
-        ("Chemistry", "Chm"),
-        ("Chemical Engineering", "ChmEng"),
-        ("Multidisciplinary", "Mlt"),
-        ("Agricultural and Biological Sciences", "Agr-BlgScn"),
-        ("Earth and Planetary Sciences", "Ert-PlnScn"),
-        ("Veterinary", "Vtr"),
-        ("Energy", "Enr"),
-        ("Environmental Science", "EnvScn"),
-        ("Materials Science", "MtrScn"),
-        ("Engineering", "Eng"),
-        ("Economics, Econometrics and Finance", "Ecn-Ecnm-Fnn"),
-        ("Business, Management and Accounting", "Bsn-Mng-Acc"),
-        ("Social Sciences", "SclScn"),
-        ("Arts and Humanities", "Art-Hmn"),
-        ("Psychology", "Psy"),
-        ("Decision Sciences", "DcsSci"),
-        ("Computer Science", "CmpScn"),
-        ("Neuroscience", "Nrsc"),
-        ("Biochemistry, Genetics and Molecular Biology", "Bch-Gnt-MlcBlg"),
-        ("Health Professions", "HltPrf"),
-        ("Immunology and Microbiology", "Inm-Mcr"),
-        ("Pharmacology, Toxicology and Pharmaceutics", "Phr-Txc-Phr"),
-        ("Nursing", "Nrs"),
-        ("Dentistry", "Dnt"),
-        ("Medicine", "Mdc"),
-    )
-)
+#: classification and the short labels used in exports and visualizations,
+#: as a read-only ``full name: label`` mapping.
+FIELD_LABELS = types.MappingProxyType({
+    "Mathematics": "Mth",
+    "Physics and Astronomy": "Phy-Ast",
+    "Chemistry": "Chm",
+    "Chemical Engineering": "ChmEng",
+    "Multidisciplinary": "Mlt",
+    "Agricultural and Biological Sciences": "Agr-BlgScn",
+    "Earth and Planetary Sciences": "Ert-PlnScn",
+    "Veterinary": "Vtr",
+    "Energy": "Enr",
+    "Environmental Science": "EnvScn",
+    "Materials Science": "MtrScn",
+    "Engineering": "Eng",
+    "Economics, Econometrics and Finance": "Ecn-Ecnm-Fnn",
+    "Business, Management and Accounting": "Bsn-Mng-Acc",
+    "Social Sciences": "SclScn",
+    "Arts and Humanities": "Art-Hmn",
+    "Psychology": "Psy",
+    "Decision Sciences": "DcsSci",
+    "Computer Science": "CmpScn",
+    "Neuroscience": "Nrsc",
+    "Biochemistry, Genetics and Molecular Biology": "Bch-Gnt-MlcBlg",
+    "Health Professions": "HltPrf",
+    "Immunology and Microbiology": "Inm-Mcr",
+    "Pharmacology, Toxicology and Pharmaceutics": "Phr-Txc-Phr",
+    "Nursing": "Nrs",
+    "Dentistry": "Dnt",
+    "Medicine": "Mdc",
+})
+_LABELS = frozenset(FIELD_LABELS.values())
 
 
 def freeze_grid(obj, **dtypes) -> None:
@@ -144,7 +122,7 @@ def freeze_grid(obj, **dtypes) -> None:
 def _owned(cls, *values):
     """A ``cls`` holding ``values`` as they are, without running ``__post_init__``.
 
-    For results the library has just computed: the arrays are its own, so
+    For results the library has just built: the arrays are its own, so
     they are frozen in place with no copy, and each check of the public
     constructor already holds by construction.  A check that does not hold
     by construction is the caller's to make.
@@ -275,7 +253,7 @@ def _table_from_cells(cells: Iterable[tuple[int, str, str, str]],
         raise DataError("no data rows")
     matrix = np.zeros((len(countries), len(fields)))
     matrix[tuple(zip(*first_line))] = values
-    return ProductionTable(index_kind, tuple(countries), tuple(fields), matrix)
+    return _owned(ProductionTable, index_kind, tuple(countries), tuple(fields), matrix)
 
 
 def _parse_value(text: str, line: int) -> float:
@@ -371,7 +349,7 @@ def _long_table_in_blocks(reader: Iterator[list[str]],
         return None
     matrix = np.zeros((len(countries), len(fields)))
     matrix[rows, cols] = values
-    return ProductionTable(index_kind, tuple(countries), tuple(fields), matrix)
+    return _owned(ProductionTable, index_kind, tuple(countries), tuple(fields), matrix)
 
 
 def _long_cells(rows: _Rows) -> _Cells:
@@ -409,26 +387,30 @@ def parse_production_csv(source: Source, index_kind: IndexKind) -> ProductionTab
     return table
 
 
-def resolve_labels(table: ProductionTable, registry: LabelRegistry = FIELD_LABELS) -> ProductionTable:
-    """Replace field full names by their registry labels.
+def resolve_labels(table: ProductionTable) -> ProductionTable:
+    """Replace field full names by their ``FIELD_LABELS`` labels.
 
     Names already equal to a label pass through silently; names matching
-    neither side pass through unchanged with an UnknownFieldWarning.
+    neither side pass through unchanged with an UnknownFieldWarning.  Two
+    fields that resolve to one name, such as ``Mathematics`` and ``Mth``,
+    raise DataError.  The new table shares the values array of ``table``.
     """
-    resolved = []
+    source_of: dict[str, str] = {}  # resolved name -> the field it came from
     for name in table.fields:
-        label = registry.label_for(name)
-        if label is not None:
-            resolved.append(label)
-        else:
-            if not registry.is_label(name):
-                warnings.warn(
-                    f"field name {name!r} is not in the label registry; kept as-is",
-                    UnknownFieldWarning,
-                    stacklevel=2,
-                )
-            resolved.append(name)
-    return ProductionTable(table.index_kind, table.countries, tuple(resolved), table.values)
+        label = FIELD_LABELS.get(name, name)
+        if label not in _LABELS:
+            warnings.warn(
+                f"field name {name!r} is not in the label registry; kept as-is",
+                UnknownFieldWarning,
+                stacklevel=2,
+            )
+        if label in source_of:
+            raise DataError(
+                f"fields {source_of[label]!r} and {name!r} both resolve to {label!r}"
+            )
+        source_of[label] = name
+    return _owned(ProductionTable, table.index_kind, table.countries, tuple(source_of),
+                  table.values)
 
 
 def validate_alignment(tables: Sequence[ProductionTable]) -> list[ProductionTable]:
@@ -440,8 +422,8 @@ def validate_alignment(tables: Sequence[ProductionTable]) -> list[ProductionTabl
     """
     if not tables:
         raise DataError("validate_alignment requires at least one table")
-    all_countries = sorted(set().union(*(t.countries for t in tables)))
-    all_fields = sorted(set().union(*(t.fields for t in tables)))
+    all_countries = tuple(sorted(set().union(*(t.countries for t in tables))))
+    all_fields = tuple(sorted(set().union(*(t.fields for t in tables))))
     country_pos = {name: i for i, name in enumerate(all_countries)}
     field_pos = {name: j for j, name in enumerate(all_fields)}
     aligned = []
@@ -450,38 +432,28 @@ def validate_alignment(tables: Sequence[ProductionTable]) -> list[ProductionTabl
         rows = [country_pos[c] for c in table.countries]
         cols = [field_pos[f] for f in table.fields]
         values[np.ix_(rows, cols)] = table.values
-        aligned.append(
-            ProductionTable(table.index_kind, tuple(all_countries), tuple(all_fields), values)
-        )
+        aligned.append(_owned(ProductionTable, table.index_kind, all_countries, all_fields, values))
     return aligned
 
 
 class _FloatMemo(dict):
     """A dict that fills in a missing value with ``fmt(float(value))``, its text.
 
-    A writer makes one per call, so it formats each distinct value once.  The
-    types made by :func:`_memo` set ``fmt``.  -0.0 == 0.0 would make them one
-    key, so a zero is formatted at each lookup and never kept; it keeps its
-    sign.
+    A writer makes one per call, so it formats each distinct value once.
+    -0.0 == 0.0 would make them one key, so a zero is formatted at each
+    lookup and never kept; it keeps its sign.
     """
 
-    __slots__ = ()
-    fmt: Callable[[float], str]
+    __slots__ = ("fmt",)
+
+    def __init__(self, fmt: Callable[[float], str]) -> None:
+        self.fmt = fmt
 
     def __missing__(self, value: float) -> str:
         text = self.fmt(float(value))
         if value:
             self[value] = text
         return text
-
-
-def _memo(fmt: Callable[[float], str]) -> type[_FloatMemo]:
-    """The float memo type whose missing values get ``fmt(float(value))``."""
-    return type("_FloatMemo", (_FloatMemo,), {"__slots__": (), "fmt": staticmethod(fmt)})
-
-
-#: weights written with the shortest ``repr`` that reads back the same float
-_FloatTexts = _memo(float.__repr__)
 
 
 def _csv_head(name: str) -> str:

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DataError
-from .ingest import _csv_head, _FloatTexts, _memo
+from .ingest import _csv_head, _FloatMemo
 from .proximity import ProximityNetwork
 
 FORMATS = ("dot", "graphml", "json", "csv", "svg")
@@ -242,9 +242,6 @@ def _json_number(value: float) -> str:
     return _JSON_NON_FINITE.get(text, text)
 
 
-_JsonNumbers = _memo(_json_number)
-
-
 def _node_rows(layout: NetworkLayout) -> Iterator[tuple[str, float, float, str, float, float]]:
     """(name, strength, volume, ring, angle, radius) of each node, numbers as Python scalars."""
     return zip(layout.nodes, layout.strength.tolist(), layout.volume.tolist(), layout.ring,
@@ -254,7 +251,7 @@ def _node_rows(layout: NetworkLayout) -> Iterator[tuple[str, float, float, str, 
 def _emit_json(layout: NetworkLayout) -> str:
     """What ``json.dumps`` writes for the layout, with separators "," and ":"."""
     quoted = dict(zip(layout.nodes, map(encode_basestring_ascii, layout.nodes)))
-    number = _JsonNumbers()
+    number = _FloatMemo(_json_number)
     nodes = [
         f'{{"id":{quoted[name]},"strength":{number[s]},"volume":{number[v]},'
         f'"ring":{encode_basestring_ascii(r)},"angle":{number[t]},"radius":{number[d]}}}'
@@ -266,7 +263,8 @@ def _emit_json(layout: NetworkLayout) -> str:
 
 
 def _emit_csv(layout: NetworkLayout) -> str:
-    heads, weight = dict(zip(layout.nodes, map(_csv_head, layout.nodes))), _FloatTexts()
+    heads = dict(zip(layout.nodes, map(_csv_head, layout.nodes)))
+    weight = _FloatMemo(float.__repr__)
     lines = [heads[a] + heads[b] + weight[w] for a, b, w in layout.edges]
     return "\n".join(["node_a,node_b,weight", *lines, ""])
 
@@ -277,7 +275,8 @@ def _dot_quote(name: str) -> str:
 
 
 def _emit_dot(layout: NetworkLayout) -> str:
-    quoted, weight = dict(zip(layout.nodes, map(_dot_quote, layout.nodes))), _FloatTexts()
+    quoted = dict(zip(layout.nodes, map(_dot_quote, layout.nodes)))
+    weight = _FloatMemo(float.__repr__)
     lines = ["graph proximity {"]
     for name, s, v, r, t, d in _node_rows(layout):
         lines.append(
@@ -321,7 +320,8 @@ _GRAPHML_KEYS = (
 
 
 def _emit_graphml(layout: NetworkLayout) -> str:
-    quoted, weight = dict(zip(layout.nodes, map(_xml_quoteattr, layout.nodes))), _FloatTexts()
+    quoted = dict(zip(layout.nodes, map(_xml_quoteattr, layout.nodes)))
+    weight = _FloatMemo(float.__repr__)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
@@ -349,29 +349,15 @@ def _emit_graphml(layout: NetworkLayout) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _svg_positions(layout: NetworkLayout) -> dict[str, tuple[float, float]]:
-    center = SVG_SIZE / 2.0
-    positions = {}
-    for i, name in enumerate(layout.nodes):
-        ring_radius = SVG_INNER_RADIUS if layout.ring[i] == "inner" else SVG_OUTER_RADIUS
-        theta = float(layout.angle[i])
-        # y is flipped so increasing angle reads counterclockwise on screen
-        positions[name] = (
-            center + ring_radius * math.cos(theta),
-            center - ring_radius * math.sin(theta),
-        )
-    return positions
-
-
-_SvgWidths = _memo(lambda w: f"{6.0 * w:.3f}")
-
-
 def _emit_svg(layout: NetworkLayout) -> str:
     center = SVG_SIZE / 2.0
-    pos = _svg_positions(layout)
-    # the node centres, formatted once and drawn by the node and by each of its edges
-    xy = {name: (f"{x:.2f}", f"{y:.2f}") for name, (x, y) in pos.items()}
-    width = _SvgWidths()
+    rings = [SVG_INNER_RADIUS if ring == "inner" else SVG_OUTER_RADIUS for ring in layout.ring]
+    # the node centres; y is flipped so increasing angle reads counterclockwise on screen
+    centres = [(center + r * math.cos(theta), center - r * math.sin(theta))
+               for r, theta in zip(rings, layout.angle.tolist())]
+    # formatted once and drawn by the node and by each of its edges
+    xy = {name: (f"{x:.2f}", f"{y:.2f}") for name, (x, y) in zip(layout.nodes, centres)}
+    width = _FloatMemo(lambda w: f"{6.0 * w:.3f}")
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
@@ -386,19 +372,18 @@ def _emit_svg(layout: NetworkLayout) -> str:
     lines += [f'  <line x1="{xy[a][0]}" y1="{xy[a][1]}" x2="{xy[b][0]}" y2="{xy[b][1]}" '
               f'stroke="#607090" stroke-width="{width[w]}" stroke-opacity="0.6"/>'
               for a, b, w in layout.edges]
-    for i, name in enumerate(layout.nodes):
-        x, y = pos[name]
+    for name, (x, y), radius in zip(layout.nodes, centres, map(float, layout.radius.tolist())):
         cx, cy = xy[name]
         lines.append(
-            f'  <circle cx="{cx}" cy="{cy}" r="{float(layout.radius[i]):.2f}" '
+            f'  <circle cx="{cx}" cy="{cy}" r="{radius:.2f}" '
             'fill="#4878b0" stroke="#16324f" stroke-width="1.5"/>'
         )
         # label just outside the node, pushed away from the ring center
         dx = x - center
         dy = y - center
         norm = math.hypot(dx, dy) or 1.0
-        lx = x + (dx / norm) * (float(layout.radius[i]) + 6.0)
-        ly = y + (dy / norm) * (float(layout.radius[i]) + 6.0)
+        lx = x + (dx / norm) * (radius + 6.0)
+        ly = y + (dy / norm) * (radius + 6.0)
         anchor = "start" if dx >= 0 else "end"
         lines.append(
             f'  <text x="{lx:.2f}" y="{ly:.2f}" font-family="Helvetica,sans-serif" '

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .ingest import _csv_head, _FloatTexts, _long_csv_text, _owned
+from .ingest import _csv_head, _FloatMemo, _long_csv_text, _owned
 from .rca import AdvantageMatrix, diversity, ubiquity
 
 MODES = ("fields", "countries")
@@ -126,7 +126,7 @@ def proximity_csv_text(net: ProximityNetwork) -> str:
     order = sorted(range(len(net.nodes)), key=net.nodes.__getitem__)
     heads = [_csv_head(net.nodes[i]) for i in order]
     by_name = net.weights[np.ix_(order, order)]
-    weight = _FloatTexts()
+    weight = _FloatMemo(float.__repr__)
     return _long_csv_text("node_a,node_b,weight", (
         (head, heads[k + 1:], map(weight.__getitem__, by_name[k, k + 1:].tolist()))
         for k, head in enumerate(heads)

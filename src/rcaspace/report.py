@@ -19,7 +19,8 @@ from . import __version__
 from .errors import DataError
 from .ingest import IndexKind, ProductionTable
 from .rca import AdvantageMatrix, RcaMatrix, compute_rca, diversity, threshold_advantage, ubiquity
-from .stats import DistributionSummary, classify_skew, pearson, summarize, summary_table_text
+from .stats import (DistributionSummary, aligned_text, classify_skew, pearson, summarize,
+                    summary_table_text)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,19 +172,9 @@ def _count_table_text(title: str, table: dict[str, dict[str, int]]) -> str:
     if not table:
         return f"{title}: (empty)\n"
     columns = list(next(iter(table.values())))
-    name_width = max(len(name) for name in table)
-    widths = [max(len(c), 6) for c in columns]
-    lines = [title]
-    header = " ".ljust(name_width) + "  " + "  ".join(
-        c.rjust(w) for c, w in zip(columns, widths)
-    )
-    lines.append(header.rstrip())
-    for name, counts in table.items():
-        row = name.ljust(name_width) + "  " + "  ".join(
-            str(counts[c]).rjust(w) for c, w in zip(columns, widths)
-        )
-        lines.append(row.rstrip())
-    return "\n".join(lines) + "\n"
+    rows = [[" ", *columns]]
+    rows += [[name, *(str(counts[c]) for c in columns)] for name, counts in table.items()]
+    return f"{title}\n" + aligned_text(rows, min_width=6)
 
 
 def build_report(

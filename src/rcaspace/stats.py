@@ -163,18 +163,22 @@ def classify_skew(summary: DistributionSummary) -> str:
     return "right-skewed" if summary.quartile_skew > 0 else "left-skewed"
 
 
+def aligned_text(rows: Sequence[Sequence[str]], min_width: int = 0) -> str:
+    """``rows`` as aligned plain-text lines: the first column left-aligned, the
+    others right-aligned and at least ``min_width`` wide, cells two spaces apart."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    widths[1:] = [max(w, min_width) for w in widths[1:]]
+    lines = []
+    for first, *rest in rows:
+        cells = [first.ljust(widths[0])] + [cell.rjust(w) for cell, w in zip(rest, widths[1:])]
+        lines.append("  ".join(cells).rstrip())
+    return "\n".join(lines) + "\n"
+
+
 def summary_table_text(summaries: Mapping[str, DistributionSummary]) -> str:
     """Aligned plain-text table: one row per distribution, six columns."""
-    headers = ["", "Min.", "1st Qu.", "Median", "Mean", "3rd Qu.", "Max."]
-    rows = [headers]
+    rows = [["", "Min.", "1st Qu.", "Median", "Mean", "3rd Qu.", "Max."]]
     for name, s in summaries.items():
         values = (s.minimum, s.q1, s.median, s.mean, s.q3, s.maximum)
         rows.append([name] + [f"{v:.3f}" for v in values])
-    widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]
-    lines = []
-    for row in rows:
-        cells = [row[0].ljust(widths[0])] + [
-            cell.rjust(widths[i]) for i, cell in enumerate(row) if i > 0
-        ]
-        lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines) + "\n"
+    return aligned_text(rows)

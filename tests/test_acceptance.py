@@ -59,7 +59,6 @@ from rcaspace import (
 from rcaspace.cli import main as cli_main
 from rcaspace.demo import write_demo_dataset
 from rcaspace.ingest import (
-    FIELD_LABELS,
     load_manifest,
     parse_production_csv,
     resolve_labels,
@@ -479,9 +478,7 @@ def test_full_dataset_tables_and_correlations():
     assert not missing, f"manifest lacks tables for: {', '.join(missing)}"
     tables = validate_alignment(
         [
-            resolve_labels(
-                parse_production_csv(by_kind[k].resolved, k), FIELD_LABELS
-            )
+            resolve_labels(parse_production_csv(by_kind[k].resolved, k))
             for k in wanted
         ]
     )

@@ -15,7 +15,6 @@ PUBLIC_API = [
     "DistributionSummary",
     "FIELD_LABELS",
     "IndexKind",
-    "LabelRegistry",
     "NetworkLayout",
     "ProductionTable",
     "ProximityNetwork",

@@ -242,6 +242,17 @@ class TestErrorContract:
         assert code == EXIT_DATA
         assert "documents.csv: input is not valid UTF-8" in capsys.readouterr().err
 
+    def test_label_collision_names_file_and_fields(self, tmp_path, capsys):
+        manifest = write_dataset(
+            tmp_path, {"documents": "country,field,value\nA,Mathematics,3\nA,Mth,7\n"})
+        out = tmp_path / "o"
+        code = main(["report", "--manifest", str(manifest), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "rcaspace: error: documents.csv: fields 'Mathematics' and 'Mth' both resolve to 'Mth'\n"
+        )
+        assert not out.exists()
+
     def test_table_error_names_file_and_line(self, tmp_path, capsys):
         manifest = write_dataset(tmp_path, {
             "documents": DOCS_CSV,

@@ -117,7 +117,7 @@ def _multi_block_csv():
     Some cells are absent and some values are -0 or fractional.
     """
     n_c, n_f = 40, 64
-    fields = [name for name, _ in FIELD_LABELS.entries]
+    fields = list(FIELD_LABELS)
     fields += [f"M\u00e9decine {j}" for j in range(n_f - len(fields))]
     countries = [(f"Republic {c}, The", f'The "Quoted" {c}', f"C\u00f4te {c}", f"Plain {c}")[c % 4]
                  for c in range(n_c)]

@@ -15,7 +15,6 @@ from rcaspace import (
     DataError,
     FIELD_LABELS,
     IndexKind,
-    LabelRegistry,
     ProductionTable,
     ProximityNetwork,
     RcaMatrix,
@@ -53,25 +52,19 @@ class TestIndexKind:
 
 class TestLabelRegistry:
     def test_has_27_entries(self):
-        assert len(FIELD_LABELS.entries) == 27
+        assert len(FIELD_LABELS) == 27
 
     def test_known_labels(self):
-        assert FIELD_LABELS.label_for("Computer Science") == "CmpScn"
-        assert FIELD_LABELS.label_for("Decision Sciences") == "DcsSci"
-        assert FIELD_LABELS.label_for("Medicine") == "Mdc"
-        assert FIELD_LABELS.label_for("Biochemistry, Genetics and Molecular Biology") == "Bch-Gnt-MlcBlg"
+        assert FIELD_LABELS["Computer Science"] == "CmpScn"
+        assert FIELD_LABELS["Decision Sciences"] == "DcsSci"
+        assert FIELD_LABELS["Medicine"] == "Mdc"
+        assert FIELD_LABELS["Biochemistry, Genetics and Molecular Biology"] == "Bch-Gnt-MlcBlg"
 
     def test_uniqueness(self):
-        names = [n for n, _ in FIELD_LABELS.entries]
-        labels = [l for _, l in FIELD_LABELS.entries]
+        names = list(FIELD_LABELS)
+        labels = list(FIELD_LABELS.values())
         assert len(set(names)) == 27
         assert len(set(labels)) == 27
-
-    def test_duplicate_rejected(self):
-        with pytest.raises(DataError):
-            LabelRegistry((("A", "a"), ("A", "b")))
-        with pytest.raises(DataError):
-            LabelRegistry((("A", "a"), ("B", "a")))
 
 
 class TestParseLongCsv:
@@ -156,13 +149,13 @@ class TestResolveLabels:
         table = parse(
             "country,field,value\nA,Computer Science,1\nA,Decision Sciences,2\n"
         )
-        resolved = resolve_labels(table, FIELD_LABELS)
+        resolved = resolve_labels(table)
         assert resolved.fields == ("CmpScn", "DcsSci")
 
     def test_unknown_name_warns_and_passes_through(self):
         table = parse("country,field,value\nA,Alchemy,1\n")
         with pytest.warns(UnknownFieldWarning, match="Alchemy"):
-            resolved = resolve_labels(table, FIELD_LABELS)
+            resolved = resolve_labels(table)
         assert resolved.fields == ("Alchemy",)
 
     def test_label_passes_through_silently(self):
@@ -171,14 +164,20 @@ class TestResolveLabels:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            resolved = resolve_labels(table, FIELD_LABELS)
+            resolved = resolve_labels(table)
         assert resolved.fields == ("CmpScn",)
 
     def test_cell_sum_preserved(self):
         table = parse("country,field,value\nA,Computer Science,3\nB,Alchemy,4\n")
         with pytest.warns(UnknownFieldWarning):
-            resolved = resolve_labels(table, FIELD_LABELS)
+            resolved = resolve_labels(table)
         assert resolved.values.sum() == table.values.sum()
+
+    def test_collision_names_both_fields(self):
+        table = parse("country,field,value\nA,Mathematics,3\nA,Mth,7\n")
+        with pytest.raises(DataError) as info:
+            resolve_labels(table)
+        assert str(info.value) == "fields 'Mathematics' and 'Mth' both resolve to 'Mth'"
 
 
 class TestValidateAlignment:
@@ -409,6 +408,10 @@ def test_computed_arrays_are_owned_and_frozen(make_table):
     for arr in stored:
         assert not arr.flags.writeable
         assert not any(np.shares_memory(arr, theirs) for theirs in (table.values, *volumes))
+    with pytest.warns(UnknownFieldWarning):
+        assert resolve_labels(table).values is table.values
+    for aligned in validate_alignment([table, make_table([[1.0]], countries=("C",))]):
+        assert not aligned.values.flags.writeable
     assert isinstance(adv.countries, tuple) and isinstance(nets[0].nodes, tuple)
     repeated = AdvantageMatrix(["A", "A"], ["X", "X"], np.ones((2, 2), bool))
     for build in (field_proximity, country_proximity):
