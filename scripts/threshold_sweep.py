@@ -33,6 +33,8 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=11,
                         help="number of evenly spaced thresholds in [0, 1]")
     args = parser.parse_args()
+    if args.steps < 1:
+        parser.error(f"argument --steps: expected at least 1, got {args.steps}")
 
     with tempfile.TemporaryDirectory(prefix="rcaspace-sweep-") as scratch:
         manifest = args.manifest or write_demo_dataset(Path(scratch) / "data")

@@ -11,11 +11,9 @@ world-share denominators are complete sums.
 """
 from __future__ import annotations
 
-import contextlib
 import csv
 import enum
 import functools
-import io
 import itertools
 import json
 import math
@@ -25,13 +23,11 @@ import warnings
 from dataclasses import dataclass
 from operator import add
 from pathlib import Path
-from typing import IO, Callable, ContextManager, Iterable, Iterator, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DataError, UnknownFieldWarning
-
-Source = Union[str, Path, IO[bytes], IO[str]]
 
 
 class IndexKind(enum.Enum):
@@ -173,57 +169,12 @@ class ProductionTable:
         return self.values.sum(axis=0)
 
 
-def _open_text(source: Source) -> ContextManager[IO[str]]:
-    """``source`` as a seekable text stream, so a reader can read it twice.
-
-    Lines end where a file opened with ``newline=""`` ends them, at
-    ``\n``, ``\r\n`` or a bare ``\r``, for a path, a binary stream and a
-    text stream that cannot seek.  A seekable text stream is read as it is,
-    so a caller's own ``io.StringIO`` splits lines as it was made to: made
-    with ``newline=""`` it ends a row at a bare ``\r``, made with the default
-    it does not.  Leaving the context closes only what was opened.
-    """
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, io.TextIOBase):
-        try:
-            source.tell()  # fails if the stream cannot seek, or not after next()
-        except OSError:
-            return io.StringIO(source.read(), newline="")
-        return contextlib.nullcontext(source)
-    data = source.read()
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"input is not valid UTF-8: {exc}") from None
-    return io.StringIO(data, newline="")
-
-
-_Rows = Iterator[tuple[int, list[str]]]
-_Cells = Iterator[tuple[int, str, str, str]]
-
-
 def _is_blank(row: list[str]) -> bool:
     return not "".join(row).strip()
 
 
-def _csv_rows(stream: IO[str]) -> _Rows:
-    """``(file line, row)`` for each non-blank row; csv errors become DataError."""
-    reader = csv.reader(stream)
-    try:
-        for row in reader:
-            if not _is_blank(row):
-                yield reader.line_num, row
-    except csv.Error as exc:
-        raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:  # a file decoded as it is read
-        raise DataError(f"input is not valid UTF-8: {exc}") from None
-
-
-def _table_from_cells(cells: Iterable[tuple[int, str, str, str]],
-                      index_kind: IndexKind) -> ProductionTable:
-    """Build a table from ``(line, country, field, value text)`` cells.
+def _table_per_row(stream: IO[str], index_kind: IndexKind) -> ProductionTable:
+    """The long table read one row at a time; every error names its file line.
 
     Row and column orders follow first appearance; absent cells become zeros.
     """
@@ -232,22 +183,37 @@ def _table_from_cells(cells: Iterable[tuple[int, str, str, str]],
     fields: dict[str, int] = {}
     first_line: dict[tuple[int, int], int] = {}  # (row, column) -> line, in value order
     values: list[float] = []
-    for line, country, field, text in cells:
-        country, field = normalize(country), normalize(field)
-        if not country:
-            raise DataError(f"empty country name at line {line}")
-        if not field:
-            raise DataError(f"empty field name at line {line}")
-        value = _parse_value(text, line)
-        key = (countries.setdefault(country, len(countries)),
-               fields.setdefault(field, len(fields)))
-        if key in first_line:
-            raise DataError(
-                f"duplicate cell ({country}, {field}) at line {line} "
-                f"(first at line {first_line[key]})"
-            )
-        first_line[key] = line
-        values.append(value)
+    reader = csv.reader(stream)
+    rows = itertools.filterfalse(_is_blank, reader)
+    try:
+        header = next(rows, None)
+        if header is None:
+            raise DataError("empty file: missing country,field,value header")
+        if not _is_long_header(header):
+            raise DataError(f"invalid header {header!r}: expected country,field,value")
+        for row in rows:
+            line = reader.line_num
+            if len(row) != 3:
+                raise DataError(f"expected 3 columns, got {len(row)} at line {line}")
+            country, field = normalize(row[0]), normalize(row[1])
+            if not country:
+                raise DataError(f"empty country name at line {line}")
+            if not field:
+                raise DataError(f"empty field name at line {line}")
+            value = _parse_value(row[2], line)
+            key = (countries.setdefault(country, len(countries)),
+                   fields.setdefault(field, len(fields)))
+            if key in first_line:
+                raise DataError(
+                    f"duplicate cell ({country}, {field}) at line {line} "
+                    f"(first at line {first_line[key]})"
+                )
+            first_line[key] = line
+            values.append(value)
+    except csv.Error as exc:
+        raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:  # the file is decoded as it is read
+        raise DataError(f"input is not valid UTF-8: {exc}") from None
 
     if not values:
         raise DataError("no data rows")
@@ -300,10 +266,10 @@ def _long_table_in_blocks(reader: Iterator[list[str]],
     """The long table read ``BLOCK_ROWS`` rows at a time, or None when a check fails.
 
     A failed check, a csv error or a duplicate cell returns None without
-    naming the line; the caller rereads the input with the per-row core.
+    naming the line; the caller rereads the file with :func:`_table_per_row`.
     All-blank rows (``,,`` or whitespace) are dropped from a block that fails
-    its checks, and the block is checked again.  Same table as the per-row
-    core otherwise.
+    its checks, and the block is checked again.  Same table as
+    :func:`_table_per_row` otherwise.
     """
     countries: dict[str, int] = {}
     fields: dict[str, int] = {}
@@ -352,38 +318,24 @@ def _long_table_in_blocks(reader: Iterator[list[str]],
     return _owned(ProductionTable, index_kind, tuple(countries), tuple(fields), matrix)
 
 
-def _long_cells(rows: _Rows) -> _Cells:
-    _, header = next(rows, (0, None))
-    if header is None:
-        raise DataError("empty file: missing country,field,value header")
-    if not _is_long_header(header):
-        raise DataError(
-            f"invalid header {header!r}: expected country,field,value"
-        )
-    for line, row in rows:
-        if len(row) != 3:
-            raise DataError(f"expected 3 columns, got {len(row)} at line {line}")
-        yield line, row[0], row[1], row[2]
+def parse_production_csv(path: str | Path, index_kind: IndexKind) -> ProductionTable:
+    """Parse the long-form ``country,field,value`` CSV at ``path`` into a ProductionTable.
 
+    The file is read as UTF-8, and a row ends at ``\\n``, ``\\r\\n`` or a
+    bare ``\\r``.  Row and column orders follow first appearance in the file.
+    Duplicate (country, field) rows are an error; pairs absent from the file
+    become zero cells.  Every error message carries the offending line number.
 
-def parse_production_csv(source: Source, index_kind: IndexKind) -> ProductionTable:
-    """Parse a long-form ``country,field,value`` CSV into a ProductionTable.
-
-    Row and column orders follow first appearance in the file.  Duplicate
-    (country, field) rows are an error; pairs absent from the file become
-    zero cells.  Every error message carries the offending line number.
-
-    The rows are converted a block of whole columns at a time.  Input the
-    blocks decline, bad or not, is read again from the start by the per-row
-    core.  Only that core writes error messages, so an error names the first
-    bad line in file order.
+    The rows are converted a block of whole columns at a time.  A file the
+    blocks decline, bad or not, is read again from the start by
+    :func:`_table_per_row`.  Only that reader writes error messages, so an
+    error names the first bad line in file order.
     """
-    with _open_text(source) as stream:
-        start = stream.tell()
+    with open(path, "r", encoding="utf-8", newline="") as stream:
         table = _long_table_in_blocks(csv.reader(stream), index_kind)
         if table is None:
-            stream.seek(start)
-            table = _table_from_cells(_long_cells(_csv_rows(stream)), index_kind)
+            stream.seek(0)
+            table = _table_per_row(stream, index_kind)
     return table
 
 

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DataError
-from .ingest import _csv_head, _FloatMemo
+from .ingest import _csv_head, _FloatMemo, _owned
 from .proximity import ProximityNetwork
 
 FORMATS = ("dot", "graphml", "json", "csv", "svg")
@@ -47,9 +47,10 @@ class NetworkLayout:
 
     Node arrays are aligned with ``nodes``, which is ordered by ascending
     strength (ties broken lexicographically).  ``ring`` holds "inner" or
-    "outer"; ``angle`` is in radians, counterclockwise from angle 0.  Both
-    ends of every edge must be nodes (DataError otherwise), so that every
-    emitter can draw every edge.
+    "outer"; ``angle`` is in radians, counterclockwise from angle 0.  Each
+    node array must have one entry per node, and both ends of every edge must
+    be nodes (DataError otherwise), so that every emitter draws every node
+    and every edge.
     """
 
     mode: str
@@ -62,6 +63,11 @@ class NetworkLayout:
     edges: tuple[Edge, ...]  # (a, b, weight), a < b, sorted lexicographically
 
     def __post_init__(self) -> None:
+        n = len(self.nodes)
+        uneven = [name for name in ("strength", "volume", "ring", "angle", "radius")
+                  if np.shape(getattr(self, name)) != (n,)]
+        if uneven:
+            raise DataError(f"{', '.join(uneven)} must have one entry per node ({n} nodes)")
         strays = {end for a, b, _ in self.edges for end in (a, b)}.difference(self.nodes)
         if strays:
             raise DataError(f"edge end(s) not among the nodes: {sorted(strays)}")
@@ -209,16 +215,17 @@ def build_layout(net: ProximityNetwork, threshold: float = DEFAULT_THRESHOLD) ->
     n = len(order)
     n_inner = (n + 1) // 2  # lower-strength half, odd counts lean inner
     at = np.array(order, dtype=np.intp)
-    return NetworkLayout(
-        mode=net.mode,
-        nodes=tuple(map(net.nodes.__getitem__, order)),
-        strength=net.node_strength[at],
-        volume=net.node_volume[at],
-        ring=("inner",) * n_inner + ("outer",) * (n - n_inner),
-        angle=np.array([2.0 * math.pi * k / m for m in (n_inner, n - n_inner) for k in range(m)],
-                       dtype=np.float64),
-        radius=size_nodes(net)[at],
-        edges=tuple(backbone(net, threshold)),
+    return _owned(
+        NetworkLayout,
+        net.mode,
+        tuple(map(net.nodes.__getitem__, order)),
+        net.node_strength[at],
+        net.node_volume[at],
+        ("inner",) * n_inner + ("outer",) * (n - n_inner),
+        np.array([2.0 * math.pi * k / m for m in (n_inner, n - n_inner) for k in range(m)],
+                 dtype=np.float64),
+        size_nodes(net)[at],
+        tuple(backbone(net, threshold)),
     )
 
 

@@ -169,8 +169,6 @@ def _r_text(r: float | None) -> str:
 
 
 def _count_table_text(title: str, table: dict[str, dict[str, int]]) -> str:
-    if not table:
-        return f"{title}: (empty)\n"
     columns = list(next(iter(table.values())))
     rows = [[" ", *columns]]
     rows += [[name, *(str(counts[c]) for c in columns)] for name, counts in table.items()]

@@ -136,8 +136,8 @@ def summarize(values: Iterable[float], quartile_rule: str = "linear") -> Distrib
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Standard Pearson correlation coefficient, clipped into [-1, 1].
 
-    Inputs must be equal-length (>= 2) and both non-constant; zero variance
-    raises ``DataError("degenerate correlation input")``.
+    Inputs must be equal-length (>= 2), finite and both non-constant; zero
+    variance raises ``DataError("degenerate correlation input")``.
     """
     x = np.asarray(xs, dtype=np.float64).ravel()
     y = np.asarray(ys, dtype=np.float64).ravel()
@@ -145,8 +145,13 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise DataError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
         raise DataError("correlation needs at least 2 observations")
-    xc = x - x.mean()
-    yc = y - y.mean()
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DataError("correlation input contains a non-finite value")
+    # scaled by the power of two that puts the largest magnitude in [0.5, 1):
+    # exact barring subnormals, so r keeps every bit and no square overflows
+    xc, yc = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (x, y))
+    xc -= xc.mean()
+    yc -= yc.mean()
     sxx = float((xc * xc).sum())
     syy = float((yc * yc).sum())
     if sxx == 0.0 or syy == 0.0:

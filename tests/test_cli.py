@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
+from rcaspace import cli
 from rcaspace.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 DOCS_CSV = "country,field,value\nA,Mth,10\nA,Chm,2\nB,Mth,3\nB,Chm,9\n"
@@ -252,6 +255,19 @@ class TestErrorContract:
             "rcaspace: error: documents.csv: fields 'Mathematics' and 'Mth' both resolve to 'Mth'\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("data, replace", [
+        pytest.param("\ud800", os.replace, id="unencodable-text"),
+        pytest.param(b"new", mock.Mock(side_effect=OSError("rename failed")), id="failed-rename"),
+    ])
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, data, replace):
+        target = tmp_path / "report.json"
+        target.write_bytes(b"old")
+        with mock.patch.object(os, "replace", replace), \
+                pytest.raises((UnicodeEncodeError, OSError)):
+            cli._write_bytes(target, data)
+        assert target.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
     def test_table_error_names_file_and_line(self, tmp_path, capsys):
         manifest = write_dataset(tmp_path, {

@@ -6,7 +6,6 @@ change.
 """
 import dataclasses
 import hashlib
-import io
 import json
 import unicodedata
 
@@ -84,8 +83,10 @@ def _tiny_artifacts(table):
     return "\x1e".join(parts).encode("utf-8")
 
 
-def test_tiny_quoting_and_nfc():
-    long = parse_production_csv(io.StringIO(LONG_CSV), IndexKind.DOCUMENTS)
+def test_tiny_quoting_and_nfc(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_bytes(LONG_CSV.encode("utf-8"))
+    long = parse_production_csv(path, IndexKind.DOCUMENTS)
     assert "C\u00f4te d'Ivoire" in long.countries
     assert hashlib.sha256(_tiny_artifacts(long)).hexdigest() == TINY_SHA256
 
@@ -144,10 +145,12 @@ def _multi_block_csv():
     return "\n".join(lines) + "\n"
 
 
-def test_multi_block_long_csv():
+def test_multi_block_long_csv(tmp_path):
     text = _multi_block_csv()
     assert text.count("\n") > 4 * BLOCK_ROWS
-    table = parse_production_csv(io.StringIO(text), IndexKind.DOCUMENTS)
+    path = tmp_path / "long.csv"
+    path.write_bytes(text.encode("utf-8"))
+    table = parse_production_csv(path, IndexKind.DOCUMENTS)
     assert table.values.shape == (40, 64)
     digest = hashlib.sha256(
         json.dumps([table.countries, table.fields]).encode("utf-8") + table.values.tobytes()

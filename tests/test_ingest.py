@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -28,7 +29,11 @@ from rcaspace.ingest import load_manifest, normalize_name, production_csv_text
 
 
 def parse(text, kind=IndexKind.DOCUMENTS):
-    return parse_production_csv(io.StringIO(text), kind)
+    """``text`` written byte for byte to a file, then parsed from its path."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return parse_production_csv(path, kind)
 
 
 class TestIndexKind:
@@ -139,10 +144,6 @@ class TestParseLongCsv:
         p.write_text("country,field,value\nA,Mth,1\n", encoding="utf-8")
         assert parse_production_csv(p, IndexKind.CITATIONS).values[0, 0] == 1.0
 
-    def test_accepts_binary_stream(self):
-        data = io.BytesIO("country,field,value\nA,Mth,1\n".encode("utf-8"))
-        assert parse_production_csv(data, IndexKind.DOCUMENTS).values[0, 0] == 1.0
-
 
 class TestResolveLabels:
     def test_full_names_replaced(self):
@@ -251,7 +252,7 @@ class TestRoundTrip:
     @given(tables())
     def test_parse_serialize_parse_identity(self, table):
         text = production_csv_text(table)
-        reparsed = parse_production_csv(io.StringIO(text), table.index_kind)
+        reparsed = parse(text, table.index_kind)
         assert reparsed == table
         assert production_csv_text(reparsed) == text
 
@@ -264,9 +265,7 @@ class TestRoundTrip:
 
     def test_float_cells_roundtrip_exactly(self, make_table):
         table = make_table([[0.1, 2.340953, 1e-12]])
-        reparsed = parse_production_csv(
-            io.StringIO(production_csv_text(table)), table.index_kind
-        )
+        reparsed = parse(production_csv_text(table), table.index_kind)
         assert reparsed == table
 
     @pytest.mark.parametrize("countries, fields", [
@@ -303,6 +302,23 @@ class TestManifest:
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"dataset_name": "x", "tables": []}))
         with pytest.raises(DataError, match="missing key"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("raw, message", [
+        pytest.param([], "expected a JSON object", id="not-an-object"),
+        pytest.param({"dataset_name": "x", "period": "p", "tables": []},
+                     "'tables' must be a non-empty list", id="no-tables"),
+        pytest.param({"dataset_name": "x", "period": "p", "tables": {"index": "documents"}},
+                     "'tables' must be a non-empty list", id="tables-not-a-list"),
+        pytest.param({"dataset_name": "x", "period": "p", "tables": [{"index": "documents"}]},
+                     "each table needs 'index' and 'path'", id="table-without-path"),
+        pytest.param({"dataset_name": "x", "period": "p", "tables": ["d.csv"]},
+                     "each table needs 'index' and 'path'", id="table-not-an-object"),
+    ])
+    def test_schema_errors(self, tmp_path, raw, message):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(DataError, match=f"manifest {re.escape(str(path))}: {message}"):
             load_manifest(path)
 
     def test_unknown_index_kind(self, tmp_path):
@@ -441,11 +457,11 @@ FIELD_SPELLINGS = (
 GOOD_VALUES = ("0", "3", "-0", "12.5", "1e2", " 7 ", "1_000", "\u0663", "0.1")
 BAD_VALUES = ("x", "", "-3", "nan", "NaN", "inf", "-inf", "1e999", "1__0")
 # Rows the long reader must not take as data: all-blank rows (skipped),
-# ragged rows, empty names, and a bare carriage return, which is a csv.Error
-# unless the stream splits lines there.
+# ragged rows, empty names, and a bare carriage return, which ends a row in
+# mid-line.
 JUNK_ROWS = ("", "   ", ",,", " , , ", "A,Mth", "A,Mth,1,2", '"",Mth,1', "A, ,1",
              "Bad\rRow,Mth,1")
-# A field over the csv module's default size limit, a csv.Error in every stream.
+# A field over the csv module's default size limit, a csv.Error.
 OVERSIZED_ROW = "C,Mth," + "1" * 200_000
 
 
@@ -490,23 +506,11 @@ def long_csv_texts(draw):
     return eol.join(lines) + (eol if lines else "")
 
 
-class _Unseekable(io.BytesIO):
-    def seekable(self):
-        return False
-
-
 def _table_or_error(parse):
     try:
         return parse()
     except DataError as exc:
         return str(exc)
-
-
-def _per_row_core(stream):
-    with stream:
-        return ingest._table_from_cells(
-            ingest._long_cells(ingest._csv_rows(stream)), IndexKind.DOCUMENTS
-        )
 
 
 def _assert_same(result, expected):
@@ -518,46 +522,26 @@ def _assert_same(result, expected):
         assert np.array_equal(np.signbit(result.values), np.signbit(expected.values))
 
 
-def _source_kinds(text, path):
-    """Per source kind: a fresh source, and the stream the per-row core reads it as.
-
-    A file, a binary stream and a text stream that cannot seek split lines at
-    a bare carriage return; a ``StringIO`` made with the default newline does
-    not.
-    """
-    data = text.encode("utf-8")
-    path.write_bytes(data)
-
-    def unseekable():
-        return io.TextIOWrapper(_Unseekable(data), encoding="utf-8", newline="")
-
-    return [
-        (lambda: path, lambda: open(path, encoding="utf-8", newline="")),
-        (lambda: io.StringIO(text), lambda: io.StringIO(text)),
-        (lambda: io.BytesIO(data), lambda: io.StringIO(text, newline="")),
-        (unseekable, unseekable),
-    ]
-
-
 class TestBlockReader:
     """The block-columnar long reader against the per-row core it falls back to."""
 
     def check(self, text, block_rows):
-        """Each source kind parses as the per-row core reads it; returns the core's
-        result on a StringIO."""
+        """``text`` in a file parses as the per-row reader reads it, and the blocks
+        decline only what that reader rejects; returns the per-row reader's result."""
         with mock.patch.object(ingest, "BLOCK_ROWS", block_rows), \
                 tempfile.TemporaryDirectory() as directory:
-            for source, stream in _source_kinds(text, Path(directory) / "t.csv"):
-                _assert_same(
-                    _table_or_error(lambda: parse_production_csv(source(), IndexKind.DOCUMENTS)),
-                    _table_or_error(lambda: _per_row_core(stream())),
-                )
-            blocks = ingest._long_table_in_blocks(csv.reader(io.StringIO(text)),
-                                                  IndexKind.DOCUMENTS)
-        expected = _table_or_error(lambda: _per_row_core(io.StringIO(text)))
+            path = Path(directory) / "t.csv"
+            path.write_bytes(text.encode("utf-8"))
+            result = _table_or_error(lambda: parse_production_csv(path, IndexKind.DOCUMENTS))
+            with open(path, encoding="utf-8", newline="") as stream:
+                expected = _table_or_error(
+                    lambda: ingest._table_per_row(stream, IndexKind.DOCUMENTS))
+                stream.seek(0)
+                blocks = ingest._long_table_in_blocks(csv.reader(stream), IndexKind.DOCUMENTS)
+        _assert_same(result, expected)
         if blocks is not None:
             _assert_same(blocks, expected)
-        else:  # the blocks decline only what the core rejects
+        else:  # the blocks decline only what the per-row reader rejects
             assert isinstance(expected, str), expected
         return expected
 
@@ -591,13 +575,6 @@ class TestBlockReader:
     def test_errors_name_first_bad_line(self, text, expected):
         assert self.check(text, block_rows=2) == expected
 
-    def test_file_read_past_a_preamble(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("# notes\ncountry,field,value\nA,Mth,1\n", encoding="utf-8")
-        with open(path, encoding="utf-8", newline="") as stream:
-            next(stream)  # a text file cannot tell its position after next()
-            assert parse_production_csv(stream, IndexKind.DOCUMENTS).countries == ("A",)
-
     @pytest.mark.parametrize("blank_row", ["", ",,"])
     def test_merges_and_skips_across_blocks(self, blank_row):
         text = (f"country,field,value\nB,Mth,1\n{blank_row}\nP\u00e9rou,Mth,-0\n\n"
@@ -615,37 +592,15 @@ class TestBlockReader:
 
 
 class TestSourceKinds:
-    """One text parses the same way from every kind of source."""
-
-    @staticmethod
-    def sources(text, path):
-        data = text.encode("utf-8")
-        path.write_bytes(data)
-        return {
-            "path": lambda: path,
-            "binary file": lambda: open(path, "rb"),
-            "BytesIO": lambda: io.BytesIO(data),
-            "unseekable bytes": lambda: _Unseekable(data),
-            "unseekable text": lambda: io.TextIOWrapper(_Unseekable(data), encoding="utf-8",
-                                                        newline=""),
-            "StringIO with newline=''": lambda: io.StringIO(text, newline=""),
-        }
+    """The one kind of source, a path, ends a row at a bare carriage return."""
 
     @pytest.mark.parametrize("parse, text", [
         (parse_production_csv, "country,field,value\nA,Mth,1\rB,Mth,2"),
         (parse_production_csv, "country,field,value\r\nA,Mth,1\rB,Mth,2\r\n"),
     ])
     def test_bare_carriage_return_ends_a_row(self, tmp_path, parse, text):
-        for kind, source in self.sources(text, tmp_path / "t.csv").items():
-            opened = source()
-            try:
-                table = parse(opened, IndexKind.DOCUMENTS)
-            finally:
-                if hasattr(opened, "close"):
-                    opened.close()
-            assert table.countries == ("A", "B"), kind
-            assert table.values.tolist() == [[1.0], [2.0]], kind
-
-    def test_default_string_io_keeps_a_bare_carriage_return(self):
-        with pytest.raises(DataError, match="new-line character seen in unquoted field"):
-            parse("country,field,value\nA,Mth,1\rB,Mth,2")
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        table = parse(path, IndexKind.DOCUMENTS)
+        assert table.countries == ("A", "B")
+        assert table.values.tolist() == [[1.0], [2.0]]

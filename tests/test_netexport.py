@@ -372,6 +372,12 @@ class TestBuildLayout:
         with pytest.raises(DataError, match="'Z'"):
             dataclasses.replace(layout, edges=layout.edges + (("A", "Z", 0.5),))
 
+    @pytest.mark.parametrize("name", ["strength", "volume", "ring", "angle", "radius"])
+    def test_node_arrays_must_match_nodes(self, name):
+        layout = build_layout(net_from(np.diag([1.0] * 2), nodes=("a", "b")), threshold=0.0)
+        with pytest.raises(DataError, match=f"{name} must have one entry per node \\(2 nodes\\)"):
+            dataclasses.replace(layout, **{name: getattr(layout, name)[:1]})
+
 
 class TestEmit:
     def empty_layout(self):

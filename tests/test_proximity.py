@@ -201,6 +201,10 @@ class TestNetworkStructure:
         with pytest.raises(DataError, match=match):
             ProximityNetwork("fields", ("a", "b"), weights, strength, volume)
 
+    def test_constructor_rejects_unknown_mode(self):
+        with pytest.raises(DataError, match="unknown proximity mode 'widgets'"):
+            ProximityNetwork("widgets", ("a", "b"), np.eye(2), np.zeros(2), np.ones(2))
+
     def test_constructor_accepts_signed_zero_weights(self):
         net = ProximityNetwork("fields", ("a", "b"), [[1.0, -0.0], [-0.0, 1.0]],
                                np.zeros(2), np.ones(2))

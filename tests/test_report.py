@@ -1,5 +1,4 @@
 import hashlib
-import io
 import json
 
 import numpy as np
@@ -122,11 +121,10 @@ class TestBuildReport:
         report = self.make_report([a])
         assert report.to_dict()["undefined_cells"] == {"documents": 2}
 
-    def test_negative_zero_cell_reports_unsigned_zero(self):
-        table = parse_production_csv(
-            io.StringIO("country,field,value\na,x,-0\na,y,1\nb,x,2\nb,y,3\n"),
-            IndexKind.DOCUMENTS,
-        )
+    def test_negative_zero_cell_reports_unsigned_zero(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("country,field,value\na,x,-0\na,y,1\nb,x,2\nb,y,3\n", encoding="utf-8")
+        table = parse_production_csv(path, IndexKind.DOCUMENTS)
         a = analyze_index(table)
         assert a.rca.values[0, 0] == 0.0 and not np.signbit(a.rca.values[0, 0])
         assert not np.signbit(a.summary.minimum)

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 SWEEP_FIELDS_DOCUMENTS = """\
@@ -68,3 +70,10 @@ def test_threshold_sweep_missing_index(tmp_path):
         "threshold_sweep.py", "--manifest", str(manifest), "--index", "h_index", code=3
     )
     assert "h_index" in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("steps", ["-1", "0"])
+def test_threshold_sweep_rejects_fewer_than_one_step(steps):
+    proc = run_script("threshold_sweep.py", "--steps", steps, code=2)
+    assert f"argument --steps: expected at least 1, got {steps}" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""

@@ -113,6 +113,12 @@ class TestSummarize:
         assert d["median"] == s.median
         assert d["quartile_skew"] == s.quartile_skew
 
+    def test_empty_summary_rejected(self):
+        with pytest.raises(DataError, match="empty distribution"):
+            DistributionSummary(
+                n=0, minimum=0.0, q1=0.0, median=0.0, mean=0.0, q3=0.0, maximum=0.0
+            )
+
     def test_non_monotone_summary_rejected(self):
         with pytest.raises(DataError, match="monotone"):
             DistributionSummary(
@@ -175,6 +181,22 @@ class TestPearson:
     def test_constant_input_degenerate(self):
         with pytest.raises(DataError, match="degenerate correlation input"):
             pearson(np.array([1.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("xs, ys", [
+        pytest.param([1e300, 0, 0, 1], [1e300, 0, 0, 1], id="squares-overflow"),
+        pytest.param([0, 1e-170, 0, 0], [0, 1, 0, 0], id="squares-underflow"),
+    ])
+    def test_extreme_magnitudes_correlate(self, xs, ys):
+        with np.errstate(all="raise"):
+            assert pearson(xs, ys) == pytest.approx(1.0, abs=1e-15)
+        assert pearson(xs, np.negative(ys)) == pytest.approx(-1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(DataError, match="non-finite"):
+            pearson([1.0, bad, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(DataError, match="non-finite"):
+            pearson([1.0, 2.0, 3.0], [1.0, 2.0, bad])
 
     @settings(max_examples=60)
     @given(
