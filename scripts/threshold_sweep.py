@@ -57,7 +57,8 @@ def main() -> int:
     for threshold in np.linspace(0.0, 1.0, args.steps):
         edges = backbone(net, float(round(threshold, 6)))
         comps = n - len(spanning_forest(n, [index[a] for a, _, _ in edges],
-                                        [index[b] for _, b, _ in edges]))
+                                        [index[b] for _, b, _ in edges],
+                                        [-w for _, _, w in edges]))
         mean_degree = 2 * len(edges) / n if n else 0.0
         print(f"{threshold:9.2f}  {len(edges):5d}  {comps:10d}  {mean_degree:11.2f}")
     return 0

@@ -249,16 +249,21 @@ def _codes(spellings: Sequence[str], code: dict[str, int],
            names: dict[str, int]) -> np.ndarray:
     """Codes of ``spellings``; each new spelling is normalized once.
 
-    ``names`` gives each normalized name a code in order of first appearance.
-    An empty name raises ValueError.
+    When every spelling already has a code, one dict lookup per row gives
+    them.  Otherwise the new spellings, in order of first appearance, get
+    the codes that ``names`` gives their normalized names, and the lookup is
+    made again.  An empty name raises ValueError.
     """
-    for spelling in dict.fromkeys(spellings):
-        if spelling not in code:
-            name = normalize_name(spelling)
-            if not name:
-                raise ValueError("empty name")
-            code[spelling] = names.setdefault(name, len(names))
-    return np.fromiter(map(code.__getitem__, spellings), np.intp, len(spellings))
+    try:
+        return np.fromiter(map(code.__getitem__, spellings), np.intp, len(spellings))
+    except KeyError:
+        for spelling in dict.fromkeys(spellings):
+            if spelling not in code:
+                name = normalize_name(spelling)
+                if not name:
+                    raise ValueError("empty name")
+                code[spelling] = names.setdefault(name, len(names))
+    return _codes(spellings, code, names)
 
 
 def _long_table_in_blocks(reader: Iterator[list[str]],
@@ -267,9 +272,11 @@ def _long_table_in_blocks(reader: Iterator[list[str]],
 
     A failed check, a csv error or a duplicate cell returns None without
     naming the line; the caller rereads the file with :func:`_table_per_row`.
-    All-blank rows (``,,`` or whitespace) are dropped from a block that fails
-    its checks, and the block is checked again.  Same table as
-    :func:`_table_per_row` otherwise.
+    A block is checked whole: every row must have 3 columns, every value must
+    be finite and not negative and every name must normalize to a nonempty
+    one.  Blank lines and all-blank rows (``,,`` or whitespace) are dropped
+    from a block that fails its checks, and the block is checked again.
+    Same table as :func:`_table_per_row` otherwise.
     """
     countries: dict[str, int] = {}
     fields: dict[str, int] = {}
@@ -277,9 +284,7 @@ def _long_table_in_blocks(reader: Iterator[list[str]],
     field_code: dict[str, int] = {}
 
     def columns(block: list[list[str]]):
-        if set(map(len, block)) != {3}:
-            raise ValueError("not 3 columns")
-        country_col, field_col, texts = zip(*block)
+        country_col, field_col, texts = zip(*block, strict=True)  # else ValueError
         values = np.fromiter(map(float, texts), np.float64, len(texts))
         if not np.all((values >= 0.0) & (values < np.inf)):
             raise ValueError("value out of range")
@@ -292,9 +297,6 @@ def _long_table_in_blocks(reader: Iterator[list[str]],
         if header is None or not _is_long_header(header):
             return None
         for block in iter(lambda: list(itertools.islice(reader, BLOCK_ROWS)), []):
-            block = list(filter(None, block))  # drop blank lines
-            if not block:
-                continue
             try:
                 parts.append(columns(block))
             except ValueError:

@@ -94,33 +94,40 @@ def _union(parent: list[int], a: Sequence[int], b: Sequence[int]) -> list[int]:
     return joined
 
 
-def spanning_forest(n_nodes: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Kruskal over the node-index pairs (a[k], b[k]), taken in the given order.
+def spanning_forest(n_nodes: int, a: Sequence[int], b: Sequence[int],
+                    key: Sequence[float]) -> list[int]:
+    """Kruskal over the node-index pairs (a[k], b[k]), taken by ascending key[k], then k.
 
-    Returns the positions k of the pairs that joined two trees: with the pairs
-    in descending weight they form a maximum-weight spanning forest, and in
-    any order ``n_nodes - len(result)`` is the number of connected components.
-    The pairs go to the union-find in blocks that double in length.  Before
-    each block, one vector compare of the tree roots drops the pairs whose
-    ends already share a tree, so the Python loop skips most of a dense
-    graph's tail.  The loop stops once the nodes that appear in any pair form
-    one tree, so isolated nodes do not send it through the rest of the pairs.
+    Returns the positions k of the pairs that joined two trees, in that order:
+    with minus the weights as keys they form a maximum-weight spanning
+    forest, and ``n_nodes - len(result)`` is the number of connected
+    components.  This is Filter-Kruskal (Osipov, Sanders and Singler, 2009),
+    which sorts only the pairs it reaches.  Each round takes the lowest-keyed
+    remaining pairs, ``n_nodes`` of them in the first round and twice as many
+    in each later one, plus every pair tied with the cut; it sorts and unites
+    them, then drops every remaining pair whose ends share a tree.  So each
+    round joins at least one pair, and the loop ends when no pair is left.
     """
-    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
-    paired = np.zeros(n_nodes, dtype=bool)
-    paired[a] = paired[b] = True
-    last_join = np.count_nonzero(paired) - 1  # if the paired nodes are connected
+    a, b = np.asarray(a, dtype=np.int32), np.asarray(b, dtype=np.int32)
+    key = np.asarray(key)
+    alive = np.ones(len(key), dtype=bool)  # the pairs not yet dropped
     parent = list(range(n_nodes))
     joined: list[int] = []
-    start, stop = 0, n_nodes
-    while start < len(a) and len(joined) < last_join:
-        roots = np.array(parent)
+    size = n_nodes
+    while count := np.count_nonzero(alive):
+        block = alive
+        if count > size:  # the lowest keys, with every key tied with the cut
+            block = alive & (key <= np.partition(key[alive], size - 1)[size - 1])
+        block = np.flatnonzero(block)
+        block = block[np.argsort(key.take(block), kind="stable")]
+        joined += block[_union(parent, a.take(block).tolist(), b.take(block).tolist())].tolist()
+        roots = np.array(parent, dtype=np.int32)
         while not np.array_equal(roots, roots[roots]):
             roots = roots[roots]
         parent = roots.tolist()
-        block = start + np.flatnonzero(roots[a[start:stop]] != roots[b[start:stop]])
-        joined += block[_union(parent, a[block].tolist(), b[block].tolist())].tolist()
-        start, stop = stop, 2 * stop
+        # the block's pairs now share a tree, so this drops them too
+        alive &= roots.take(a) != roots.take(b)
+        size *= 2
     return joined
 
 
@@ -157,19 +164,15 @@ def _backbone_in_numpy(nodes: tuple[str, ...], weights: np.ndarray,
     del upper
     neg = np.take(by_rank, keys)
     del by_rank
-    np.negative(neg, out=neg)  # minus the weights, sorted stably: Kruskal order
-    low = keys[np.argsort(neg, kind="stable")]
-    high = low % n
-    low //= n
-    tree = spanning_forest(n, low, high)
-    tree_keys = low[tree] * n + high[tree]
-    del low, high
+    np.negative(neg, out=neg)  # minus the weights, then the position: Kruskal order
+    low, high = (keys // n).astype(np.int32), (keys % n).astype(np.int32)  # half of intp
+    del keys
+    tree = spanning_forest(n, low, high, neg)
     kept = neg <= -threshold  # weight >= threshold: negation is exact
-    kept[np.searchsorted(keys, tree_keys)] = True
-    keys, neg = keys[kept], neg[kept]
+    kept[tree] = True
     names = [nodes[k] for k in order]
     return [(names[p], names[q], -v)
-            for p, q, v in zip((keys // n).tolist(), (keys % n).tolist(), neg.tolist())]
+            for p, q, v in zip(low[kept].tolist(), high[kept].tolist(), neg[kept].tolist())]
 
 
 def backbone(net: ProximityNetwork, threshold: float = DEFAULT_THRESHOLD) -> list[Edge]:

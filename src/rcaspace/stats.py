@@ -156,7 +156,9 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     syy = float((yc * yc).sum())
     if sxx == 0.0 or syy == 0.0:
         raise DataError("degenerate correlation input")
-    # single square root keeps r exactly +/-1 for perfectly collinear input
+    # one square root of the product: r is exactly +/-1 when y is x times a power
+    # of two (yc is then +/-xc bit for bit, and sqrt(s * s) == s); other collinear
+    # input can land a few ulps inside +/-1
     r = float((xc * yc).sum()) / float(np.sqrt(sxx * syy))
     return min(1.0, max(-1.0, r))
 

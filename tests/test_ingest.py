@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -525,9 +526,10 @@ def _assert_same(result, expected):
 class TestBlockReader:
     """The block-columnar long reader against the per-row core it falls back to."""
 
-    def check(self, text, block_rows):
+    def check(self, text, block_rows, accept=False):
         """``text`` in a file parses as the per-row reader reads it, and the blocks
-        decline only what that reader rejects; returns the per-row reader's result."""
+        decline only what that reader rejects (nothing, if ``accept``); returns
+        the per-row reader's result."""
         with mock.patch.object(ingest, "BLOCK_ROWS", block_rows), \
                 tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "t.csv"
@@ -539,6 +541,7 @@ class TestBlockReader:
                 stream.seek(0)
                 blocks = ingest._long_table_in_blocks(csv.reader(stream), IndexKind.DOCUMENTS)
         _assert_same(result, expected)
+        assert blocks is not None or not accept
         if blocks is not None:
             _assert_same(blocks, expected)
         else:  # the blocks decline only what the per-row reader rejects
@@ -589,6 +592,35 @@ class TestBlockReader:
                                                   IndexKind.DOCUMENTS)
         # blank lines and rows of blank cells are dropped in the blocks
         assert blocks is not None
+
+
+    @pytest.mark.parametrize("block_rows", [5, 512])
+    @pytest.mark.parametrize("line, row, columns", [(601, "C29,F19,1,9", 4), (650, "C32,F8", 2)],
+                             ids=["four-columns", "two-columns"])
+    def test_wrong_column_count_in_a_later_block(self, block_rows, line, row, columns):
+        rows = [f"C{r // 20},F{r % 20},1" for r in range(700)]
+        rows[line - 2] = row  # the header is line 1
+        text = "country,field,value\n" + "\n".join(rows) + "\n"
+        expected = f"expected 3 columns, got {columns} at line {line}"
+        assert self.check(text, block_rows) == expected
+
+    @pytest.mark.parametrize("block_rows", [5, 512])
+    def test_blank_lines_inside_a_block(self, block_rows):
+        text = "country,field,value\nA,Mth,1\nB,Mth,2\n\n\nA,Chm,3\n\nB,Chm,4\n"
+        table = self.check(text, block_rows, accept=True)
+        assert table.values.tolist() == [[1.0, 3.0], [2.0, 4.0]]
+
+    @pytest.mark.parametrize("block_rows", [5, 512])
+    def test_name_first_seen_in_the_third_block(self, block_rows):
+        # k countries and k fields, every name in the first k rows, so the
+        # second block knows all its names and the third brings a new one
+        k = math.isqrt(2 * block_rows) + 1
+        rows = [[f"C{r % k}", f"F{(r // k + r) % k}", "1"] for r in range(k * k)]
+        rows[2 * block_rows + 1][0] = "Zed"
+        text = "country,field,value\n" + "".join(",".join(row) + "\n" for row in rows)
+        table = self.check(text, block_rows, accept=True)
+        assert table.countries == tuple(f"C{c}" for c in range(k)) + ("Zed",)
+        assert table.values.sum() == k * k
 
 
 class TestSourceKinds:

@@ -250,6 +250,44 @@ class TestBackboneReference:
             assert sum(joins_per_block) == 29
             assert joins_per_block[-1] > 0
 
+    def test_two_components_and_isolated_nodes_unite_only_while_joining(self, monkeypatch):
+        # two dense groups of 25 and 15 nodes and 10 isolated ones: every
+        # block that goes to the union-find joins a pair, and none comes after
+        # the last join, though the paired nodes never form one tree
+        rng = np.random.default_rng(16)
+        w = np.triu(rng.random((50, 50)), 1)
+        group = np.repeat([0, 1, 2], [25, 15, 10])
+        w[group[:, None] != group[None, :]] = 0.0
+        w[group == 2, :] = 0.0
+        net = net_from(w + w.T + np.eye(50), [f"n{k:02d}" for k in rng.permutation(50)])
+        joins_per_block, real_union = [], netexport._union
+
+        def union(parent, a, b):
+            joined = real_union(parent, a, b)
+            joins_per_block.append(len(joined))
+            return joined
+
+        monkeypatch.setattr(netexport, "_union", union)
+        for threshold in (0.0, 0.4, 1.0):
+            joins_per_block.clear()
+            expected = reference_backbone(net.nodes, net.weights.tolist(), threshold)
+            assert backbone(net, threshold) == expected
+            assert sum(joins_per_block) == 24 + 14
+            assert min(joins_per_block) > 0
+            assert joins_per_block[-1] > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_spanning_forest_is_kruskal_in_key_order(self, n, data):
+        # the pairs taken by ascending key, then position, one at a time
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                             st.integers(0, 3)), max_size=40))
+        a, b, key = ([p[i] for p in pairs] for i in range(3))
+        order = sorted(range(len(pairs)), key=lambda k: (key[k], k))
+        expected = [order[k] for k in netexport._union(
+            list(range(n)), [a[k] for k in order], [b[k] for k in order])]
+        assert netexport.spanning_forest(n, a, b, key) == expected
+
     @pytest.mark.parametrize("n", [3, _SMALL_N + 1])
     def test_asymmetric_weights_read_upper_triangle(self, n):
         # the pair of nodes i < j (in node order) weighs weights[i, j]; the

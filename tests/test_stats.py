@@ -165,6 +165,23 @@ class TestPearson:
         xs = np.array([1.0, 2.0, 3.0])
         assert pearson(xs, -xs) == -1.0
 
+    def test_power_of_two_multiple_is_exactly_one(self):
+        # y = +/-2**k * x scales to +/-x bit for bit, and sqrt(s * s) == s
+        rng = np.random.default_rng(2014)
+        for _ in range(2000):
+            x = rng.normal(size=rng.integers(2, 40)) * 10.0 ** rng.integers(-5, 6)
+            sign = rng.choice([-1.0, 1.0])
+            assert pearson(x, sign * 2.0 ** int(rng.integers(-30, 31)) * x) == sign
+
+    def test_other_collinear_input_is_within_four_ulps_of_one(self):
+        # y = x / v is collinear with x, but for about 30% of these v the
+        # rounded r is below 1, by at most 4 * 2**-53
+        rng = np.random.default_rng(2014)
+        rs = np.array([pearson([0.0, v, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0])
+                       for v in rng.uniform(0.5, 1.0, 2000)])
+        assert np.count_nonzero(rs != 1.0) > 0
+        assert 1.0 - 4 * 2.0**-53 <= rs.min() <= rs.max() <= 1.0
+
     def test_known_value(self):
         xs = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         ys = np.array([2.0, 1.0, 4.0, 3.0, 5.0])
