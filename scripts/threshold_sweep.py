@@ -42,9 +42,9 @@ def main() -> int:
                         indexes=(IndexKind.parse(args.index),))
         try:
             data = load_dataset(cfg)
-        except DataError as exc:
+        except (DataError, OSError) as exc:  # the exit codes of the rcaspace command
             print(f"error: {exc}", file=sys.stderr)
-            return 3
+            return 3 if isinstance(exc, DataError) else 2
     for message in data.warnings:
         print(f"warning: {message}", file=sys.stderr)
     (analysis,) = data.analyses

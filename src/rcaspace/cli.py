@@ -26,7 +26,6 @@ from .demo import write_demo_dataset
 from .errors import DataError
 from .ingest import (
     IndexKind,
-    ProductionTable,
     load_manifest,
     matrix_csv_text,
     parse_production_csv,
@@ -98,49 +97,34 @@ class _LoadedDataset:
 
 
 def load_dataset(cfg: RunConfig) -> _LoadedDataset:
-    """Parse, label, align and analyze ``cfg``'s tables; warnings are collected, prefixed."""
+    """Parse, label, align and analyze ``cfg``'s tables, once each and in ``IndexKind`` order."""
     manifest = load_manifest(cfg.manifest)
-    entries = list(manifest.tables)
-    if cfg.indexes is not None:
-        available = {e.index: e for e in entries}
-        missing = [k.value for k in cfg.indexes if k not in available]
-        if missing:
-            raise DataError(
-                f"manifest has no table for index(es): {', '.join(missing)}"
-            )
-        entries = [available[k] for k in cfg.indexes]
-    entries.sort(key=lambda e: list(IndexKind).index(e.index))
-
+    available = {e.index: e for e in manifest.tables}
+    wanted = available if cfg.indexes is None else cfg.indexes
+    if missing := [k.value for k in wanted if k not in available]:
+        raise DataError(f"manifest has no table for index(es): {', '.join(missing)}")
+    entries = [available[k] for k in IndexKind if k in wanted]
     collected: list[str] = []
-    tables: list[ProductionTable] = []
-    inputs: list[dict] = []
-    for entry in entries:
-        with warnings_module.catch_warnings(record=True) as caught:
-            warnings_module.simplefilter("always")
-            try:
-                table = resolve_labels(parse_production_csv(entry.resolved, entry.index))
-            except DataError as exc:
-                raise DataError(f"{entry.path}: {exc}") from None
-        collected.extend(f"{entry.index.value}: {w.message}" for w in caught)
-        tables.append(table)
-        inputs.append(
-            {
-                "index": entry.index.value,
-                "path": entry.path,
-                "sha256": sha256_file(entry.resolved),
-            }
-        )
-    tables = validate_alignment(tables)
 
-    analyses = []
-    for table in tables:
+    def stage(kind: IndexKind, where: str, fn, *args):
+        """``fn(*args)``; its DataError is prefixed with ``where``, its warnings with ``kind``."""
         with warnings_module.catch_warnings(record=True) as caught:
             warnings_module.simplefilter("always")
             try:
-                analyses.append(analyze_index(table, cfg.quartile_rule))
+                result = fn(*args)
             except DataError as exc:
-                raise DataError(f"{table.index_kind.value}: {exc}") from None
-        collected.extend(f"{table.index_kind.value}: {w.message}" for w in caught)
+                raise DataError(f"{where}: {exc}") from None
+        collected.extend(f"{kind.value}: {w.message}" for w in caught)
+        return result
+
+    # The pipeline functions are looked up at each call, not bound ahead, so a tracer can wrap
+    # them. The tables are aligned at once, so the unaligned ones are freed before the analyses.
+    tables = validate_alignment([stage(e.index, e.path, lambda p, k: resolve_labels(
+        parse_production_csv(p, k)), e.resolved, e.index) for e in entries])
+    inputs = [{"index": e.index.value, "path": e.path, "sha256": sha256_file(e.resolved)}
+              for e in entries]
+    analyses = [stage(t.index_kind, t.index_kind.value, analyze_index, t, cfg.quartile_rule)
+                for t in tables]
     return _LoadedDataset(manifest.dataset_name, manifest.period, inputs, analyses, collected)
 
 
@@ -194,8 +178,7 @@ def _write_artifacts(cfg: RunConfig, data: _LoadedDataset, command: str,
         for a in data.analyses:
             grid = a.rca.countries, a.rca.fields  # the advantage matrix's too
             write(f"rca_{a.kind.value}.csv", matrix_csv_text(*grid, a.rca.values))
-            write(f"advantage_{a.kind.value}.csv",
-                  matrix_csv_text(*grid, a.advantage.m.astype(int)))
+            write(f"advantage_{a.kind.value}.csv", matrix_csv_text(*grid, a.advantage.m))
     for m in (mode,) if spec.modes is None else spec.modes:
         for a in data.analyses:
             net = proximity_network(a, m)

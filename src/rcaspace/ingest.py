@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import types
 import unicodedata
 import warnings
@@ -498,7 +499,7 @@ def load_manifest(path: str | Path) -> Manifest:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError: also bad UTF-8, an int too long
             raise DataError(f"manifest {path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise DataError(f"manifest {path}: expected a JSON object")
@@ -519,6 +520,13 @@ def load_manifest(path: str | Path) -> Manifest:
         if kind in seen:
             raise DataError(f"manifest {path}: duplicate index kind {kind.value!r}")
         seen.add(kind)
-        rel = str(item["path"])
-        entries.append(ManifestEntry(kind, rel, (path.parent / rel).resolve()))
-    return Manifest(str(dataset_name), str(period), tuple(entries))
+        entries.append((kind, str(item["path"])))
+    try:  # a NUL byte, or a lone surrogate that UTF-8 cannot encode, in a path or a name
+        names = str(dataset_name), str(period)
+        "".join(names).encode("utf-8")
+        # realpath, not Path.resolve: a symlink loop fails at open, as an I/O error
+        tables = tuple(ManifestEntry(kind, rel, Path(os.path.realpath(path.parent / rel)))
+                       for kind, rel in entries)
+    except ValueError as exc:
+        raise DataError(f"manifest {path}: {exc}") from None
+    return Manifest(*names, tables)

@@ -382,7 +382,7 @@ def _emit_svg(layout: NetworkLayout) -> str:
     lines += [f'  <line x1="{xy[a][0]}" y1="{xy[a][1]}" x2="{xy[b][0]}" y2="{xy[b][1]}" '
               f'stroke="#607090" stroke-width="{width[w]}" stroke-opacity="0.6"/>'
               for a, b, w in layout.edges]
-    for name, (x, y), radius in zip(layout.nodes, centres, map(float, layout.radius.tolist())):
+    for name, (x, y), radius in zip(layout.nodes, centres, layout.radius.tolist()):
         cx, cy = xy[name]
         lines.append(
             f'  <circle cx="{cx}" cy="{cy}" r="{radius:.2f}" '

@@ -6,8 +6,9 @@ from unittest import mock
 
 import pytest
 
-from rcaspace import cli
+from rcaspace import IndexKind, cli
 from rcaspace.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from rcaspace.errors import DataError
 
 DOCS_CSV = "country,field,value\nA,Mth,10\nA,Chm,2\nB,Mth,3\nB,Chm,9\n"
 CITS_CSV = "country,field,value\nA,Mth,8\nA,Chm,1\nB,Mth,2\nB,Chm,12\n"
@@ -177,6 +178,48 @@ class TestRcaCommand:
         assert "no table for index" in capsys.readouterr().err
 
 
+# Each table has a field the label registry lacks (a warning of the parse
+# stage) and a country with no production (a warning of the analysis stage).
+def _two_stage_csv(scale):
+    return (f"country,field,value\nA,Mth,{10 * scale}\nA,Widgetry,2\nB,Mth,3\n"
+            f"B,Widgetry,{9 * scale}\nZ,Mth,0\nZ,Widgetry,0\n")
+
+
+class TestLoadStage:
+    def test_tables_follow_index_kind_order_and_parse_warnings_come_first(
+            self, tmp_path, capsys):
+        kinds = [k.value for k in reversed(IndexKind)]
+        manifest = write_dataset(tmp_path, {k: _two_stage_csv(i + 1) for i, k in enumerate(kinds)})
+        out = tmp_path / "out"
+        argv = ["report", "--manifest", str(manifest), "--out", str(out),
+                "--index", "h_index", "--index", "documents", "--index", "h_index"]
+        assert main(argv) == EXIT_OK
+        doc = json.loads((out / "report.json").read_text())
+        assert [i["index"] for i in doc["inputs"]] == ["documents", "h_index"]
+        assert list(doc["rca_stats"]) == ["documents", "h_index"]
+        assert [(c["a"], c["b"]) for c in doc["correlations"]] == [("documents", "h_index")]
+        assert doc["config"]["indexes"] == ["h_index", "documents"]
+        unknown = "field name 'Widgetry' is not in the label registry; kept as-is"
+        undefined = ("2 RCA cell(s) undefined (zero country or field total); "
+                     "recorded as 0 and masked")
+        assert doc["warnings"] == [f"documents: {unknown}", f"h_index: {unknown}",
+                                   f"documents: {undefined}", f"h_index: {undefined}"]
+        assert capsys.readouterr().err == "".join(f"warning: {w}\n" for w in doc["warnings"])
+
+    def test_a_repeated_index_is_loaded_once(self, tmp_path):
+        manifest = write_dataset(tmp_path)
+        cfg = cli.RunConfig(manifest, tmp_path / "out",
+                            indexes=(IndexKind.CITATIONS, IndexKind.DOCUMENTS, IndexKind.CITATIONS))
+        data = cli.load_dataset(cfg)
+        assert [a.kind for a in data.analyses] == [IndexKind.DOCUMENTS, IndexKind.CITATIONS]
+        assert [i["index"] for i in data.inputs] == ["documents", "citations"]
+
+    def test_no_index_is_a_data_error(self, tmp_path):
+        cfg = cli.RunConfig(write_dataset(tmp_path), tmp_path / "out", indexes=())
+        with pytest.raises(DataError, match="requires at least one table"):
+            cli.load_dataset(cfg)
+
+
 class TestErrorContract:
     def test_missing_manifest_is_io_error(self, tmp_path):
         code = main(
@@ -237,6 +280,33 @@ class TestErrorContract:
         assert err.startswith("rcaspace: error: documents: ")
         assert cause in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("fields, cause", [
+        ('"tables": [{"index": "documents", "path": "a\\u0000b.csv"}]', "embedded null byte"),
+        ('"tables": [{"index": "documents", "path": "\\ud800.csv"}]', "surrogates not allowed"),
+        ('"tables": [{"index": "documents", "path": "documents.csv"}], "period": "\\udfff"',
+         "surrogates not allowed"),
+        ('"tables": [], "period": ' + "9" * 5000, "invalid JSON (Exceeds the limit"),
+    ], ids=["nul-in-path", "surrogate-in-path", "surrogate-in-period", "int-too-long"])
+    def test_manifest_value_that_is_no_text_is_data_error(self, tmp_path, capsys, fields, cause):
+        write_dataset(tmp_path, {"documents": DOCS_CSV})
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('{"dataset_name": "x", "period": "p", ' + fields + "}")
+        out = tmp_path / "o"
+        code = main(["report", "--manifest", str(manifest), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith(f"rcaspace: error: manifest {manifest}: ")
+        assert cause in err
+        assert not out.exists()
+
+    def test_symlink_loop_as_table_is_io_error(self, tmp_path, capsys):
+        (tmp_path / "loop.csv").symlink_to("loop.csv")
+        manifest = write_dataset(tmp_path, {"documents": DOCS_CSV})
+        manifest.write_text(manifest.read_text().replace("documents.csv", "loop.csv"))
+        code = main(["rca", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == EXIT_IO
+        assert "loop.csv" in capsys.readouterr().err
 
     def test_invalid_utf8_table_is_data_error(self, tmp_path, capsys):
         manifest = write_dataset(tmp_path, {"documents": DOCS_CSV})

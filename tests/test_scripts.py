@@ -77,3 +77,10 @@ def test_threshold_sweep_rejects_fewer_than_one_step(steps):
     proc = run_script("threshold_sweep.py", "--steps", steps, code=2)
     assert f"argument --steps: expected at least 1, got {steps}" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_threshold_sweep_missing_manifest_is_io_error(tmp_path):
+    missing = tmp_path / "absent" / "manifest.json"
+    proc = run_script("threshold_sweep.py", "--manifest", str(missing), code=2)
+    assert proc.stderr.startswith("error: ") and str(missing) in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
