@@ -6,8 +6,9 @@ which materializes a bundled synthetic dataset, analyzes it and prints a
 digest, so the tool can be exercised with zero external data.
 
 Exit codes: 0 success, 2 I/O failure, 3 data validation failure, 64 usage.
-Each output file is replaced atomically (temp file + rename), but a run is
-not: one that fails keeps the files it wrote before the failure.  Outputs
+Writes stream: each file is written a block of rows at a time, and is never
+held whole.  Each is still replaced atomically (temp file + rename), but a run
+is not: one that fails keeps the files it wrote before the failure.  Outputs
 contain no timestamps, so identical inputs and configuration produce
 byte-identical output trees.
 """
@@ -20,6 +21,7 @@ import tempfile
 import warnings as warnings_module
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .demo import write_demo_dataset
@@ -27,13 +29,13 @@ from .errors import DataError
 from .ingest import (
     IndexKind,
     load_manifest,
-    matrix_csv_text,
+    matrix_csv_chunks,
     parse_production_csv,
     resolve_labels,
     validate_alignment,
 )
-from .netexport import DEFAULT_THRESHOLD, FORMATS, build_layout, emit
-from .proximity import MODES, country_proximity, field_proximity, proximity_csv_text
+from .netexport import DEFAULT_THRESHOLD, FORMATS, build_layout, emit_chunks
+from .proximity import MODES, country_proximity, field_proximity, proximity_csv_chunks
 from .report import AnalysisReport, IndexAnalysis, analyze_index, build_report, sha256_file
 from .stats import QUARTILE_RULES
 
@@ -73,13 +75,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _write_bytes(path: Path, data: str | bytes) -> None:
-    """Atomic write of ``data`` (text as UTF-8): temp file in the target directory, then rename."""
+def _write_bytes(path: Path, chunks: Iterable[str] | bytes) -> None:
+    """Atomic write of text ``chunks``, each UTF-8-encoded as it comes (bytes as they are):
+    temp file in the target directory, then rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            fh.writelines((chunks,) if isinstance(chunks, bytes)
+                          else (chunk.encode("utf-8") for chunk in chunks))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -170,23 +174,24 @@ def _write_artifacts(cfg: RunConfig, data: _LoadedDataset, command: str,
     written = []
     report = None
 
-    def write(name: str, content: str | bytes) -> None:
-        _write_bytes(cfg.out / name, content)
+    def write(name: str, chunks: Iterable[str]) -> None:
+        _write_bytes(cfg.out / name, chunks)
         written.append(name)
 
+    # The *_chunks writers, not their joined *_text and emit forms, so no file is held whole.
     if spec.matrices:
         for a in data.analyses:
             grid = a.rca.countries, a.rca.fields  # the advantage matrix's too
-            write(f"rca_{a.kind.value}.csv", matrix_csv_text(*grid, a.rca.values))
-            write(f"advantage_{a.kind.value}.csv", matrix_csv_text(*grid, a.advantage.m))
+            write(f"rca_{a.kind.value}.csv", matrix_csv_chunks(*grid, a.rca.values))
+            write(f"advantage_{a.kind.value}.csv", matrix_csv_chunks(*grid, a.advantage.m))
     for m in (mode,) if spec.modes is None else spec.modes:
         for a in data.analyses:
             net = proximity_network(a, m)
             if spec.proximity:
-                write(f"proximity_{m}_{a.kind.value}.csv", proximity_csv_text(net))
+                write(f"proximity_{m}_{a.kind.value}.csv", proximity_csv_chunks(net))
             layout = build_layout(net, cfg.threshold)
             for fmt in cfg.formats:
-                write(f"network_{m}_{a.kind.value}.{fmt}", emit(layout, fmt))
+                write(f"network_{m}_{a.kind.value}.{fmt}", emit_chunks(layout, fmt))
     if spec.summaries:
         report = build_report(
             dataset_name=data.dataset_name,
@@ -199,7 +204,7 @@ def _write_artifacts(cfg: RunConfig, data: _LoadedDataset, command: str,
             joint_cells=cfg.joint_cells,
         )
         for name in spec.summaries:
-            write(name, report.to_json() if name.endswith(".json") else report.to_text())
+            write(name, [report.to_json() if name.endswith(".json") else report.to_text()])
     return written, report
 
 

@@ -422,21 +422,59 @@ def _csv_head(name: str) -> str:
     return name + ","
 
 
-def _long_csv_text(header: str, rows: Iterable[tuple[str, Iterable[str], Iterable[str]]]) -> str:
-    """``header``, then the ``a,b,value`` lines of pairs grouped by their first name.
+def _joined(items: Iterable[str], sep: str = "") -> Iterator[str]:
+    """``sep.join(items)`` as chunks of ``BLOCK_ROWS`` items each."""
+    items, lead = iter(items), ""
+    while block := list(itertools.islice(items, BLOCK_ROWS)):
+        yield lead + sep.join(block)
+        if len(block) < BLOCK_ROWS:  # the last block: no second slice for a small layout
+            break
+        lead = sep
 
-    Each row ``(head_a, heads_b, values)`` gives one line per head in
-    ``heads_b``, all of them starting with ``head_a``; the heads come quoted
-    by :func:`_csv_head` and the values formatted, so a row is joined from
-    its pieces without a format per line.
+
+def _long_csv_chunks(header: str,
+                     groups: Iterable[Iterable[tuple[str, Iterable[str]]]]) -> Iterator[str]:
+    """``header``'s line, then one chunk per group of rows of ``a,b,value`` lines.
+
+    Each row ``(head_a, tails)`` gives one line ``head_a + tail`` per tail,
+    and has at least one; the heads come quoted by :func:`_csv_head` and the
+    tails are ``b,value`` pieces, so a row is joined without a format per line.
     """
-    lines = [header]
-    for head, heads_b, values in rows:
-        body = ("\n" + head).join(map(add, heads_b, values))
-        if body:
-            lines.append(head + body)
-    lines.append("")
-    return "\n".join(lines)
+    yield header + "\n"
+    for rows in groups:
+        yield "".join([head + ("\n" + head).join(tails) + "\n" for head, tails in rows])
+
+
+def matrix_csv_chunks(countries: Iterable[str], fields: Iterable[str],
+                      values: np.ndarray) -> Iterator[str]:
+    """The text of :func:`matrix_csv_text`, a block of about ``BLOCK_ROWS`` lines at a time.
+
+    The shape is checked at the call.  A block's cells are formatted in one
+    pass; a bool matrix's lines are picked from two pieces per field.
+    """
+    heads_c, heads_f = list(map(_csv_head, countries)), list(map(_csv_head, fields))
+    cells = np.asarray(values)
+    if cells.shape != (len(heads_c), len(heads_f)):
+        raise DataError(f"matrix shape {cells.shape} does not match "
+                        f"{len(heads_c)} countries x {len(heads_f)} fields")
+    n_f = len(heads_f)
+    step = max(1, BLOCK_ROWS // max(n_f, 1))  # whole countries
+    pieces = [(head + "0", head + "1") for head in heads_f] if cells.dtype == bool else None
+
+    def tails(block: np.ndarray) -> list:
+        if pieces is not None:
+            return [map(tuple.__getitem__, pieces, row) for row in block.tolist()]
+        block = block.ravel()
+        texts = list(map(repr, block.tolist()))
+        if block.dtype.kind == "f":
+            integral = np.flatnonzero(np.isfinite(block) & (np.trunc(block) == block))
+            for k, value in zip(integral.tolist(), block[integral].tolist()):
+                texts[k] = str(int(value))
+        return [map(add, heads_f, texts[k:k + n_f]) for k in range(0, len(texts), n_f)]
+
+    return _long_csv_chunks("country,field,value", (
+        zip(heads_c[i:i + step], tails(cells[i:i + step]))
+        for i in range(0, len(heads_c) if n_f else 0, step)))
 
 
 def matrix_csv_text(countries: Iterable[str], fields: Iterable[str], values: np.ndarray) -> str:
@@ -445,29 +483,12 @@ def matrix_csv_text(countries: Iterable[str], fields: Iterable[str], values: np.
     All cells are written (zeros included) so that parsing the output
     reconstructs the exact same matrix; integral cells are written as
     integers, the others with repr, so they round-trip bit-exactly.  The
-    cells are formatted in one pass: integers from the ints themselves (so
-    an int64 above 2**53 stays exact), floats with ``repr``, after which the
-    finite integral floats, -0.0 among them, are rewritten as ints.
+    cells are formatted from the ints themselves (so an int64 above 2**53
+    stays exact), floats with ``repr``, after which the finite integral
+    floats, -0.0 among them, are rewritten as ints.
     ``values`` must have a row per country and a column per field.
     """
-    heads_c, heads_f = list(map(_csv_head, countries)), list(map(_csv_head, fields))
-    cells = np.asarray(values)
-    if cells.shape != (len(heads_c), len(heads_f)):
-        raise DataError(f"matrix shape {cells.shape} does not match "
-                        f"{len(heads_c)} countries x {len(heads_f)} fields")
-    cells = cells.ravel()
-    if cells.dtype == bool:
-        cells = cells.view(np.uint8)
-    texts = list(map(repr, cells.tolist()))
-    if cells.dtype.kind == "f":
-        integral = np.flatnonzero(np.isfinite(cells) & (np.trunc(cells) == cells))
-        for k, value in zip(integral.tolist(), cells[integral].tolist()):
-            texts[k] = str(int(value))
-    n_f = len(heads_f)
-    return _long_csv_text(
-        "country,field,value",
-        ((head, heads_f, texts[i * n_f:(i + 1) * n_f]) for i, head in enumerate(heads_c)),
-    )
+    return "".join(matrix_csv_chunks(countries, fields, values))
 
 
 def production_csv_text(table: ProductionTable) -> str:
@@ -516,7 +537,10 @@ def load_manifest(path: str | Path) -> Manifest:
     for item in raw_tables:
         if not isinstance(item, dict) or "index" not in item or "path" not in item:
             raise DataError(f"manifest {path}: each table needs 'index' and 'path'")
-        kind = IndexKind.parse(str(item["index"]))
+        try:
+            kind = IndexKind.parse(str(item["index"]))
+        except DataError as exc:
+            raise DataError(f"manifest {path}: {exc}") from None
         if kind in seen:
             raise DataError(f"manifest {path}: duplicate index kind {kind.value!r}")
         seen.add(kind)

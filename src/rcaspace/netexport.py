@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DataError
-from .ingest import _csv_head, _FloatMemo, _owned
+from .ingest import _csv_head, _FloatMemo, _joined, _owned
 from .proximity import ProximityNetwork
 
 FORMATS = ("dot", "graphml", "json", "csv", "svg")
@@ -232,15 +232,20 @@ def build_layout(net: ProximityNetwork, threshold: float = DEFAULT_THRESHOLD) ->
     )
 
 
-def emit(layout: NetworkLayout, format: str) -> bytes:
-    """Serialize a layout to one of: dot, graphml, json, csv, svg."""
+def emit_chunks(layout: NetworkLayout, format: str) -> Iterator[str]:
+    """The text of :func:`emit` in chunks of nodes, then of edges; the format is checked first."""
     try:
         writer = _EMITTERS[format]
     except KeyError:
         raise DataError(
             f"unknown format {format!r} (expected one of: {', '.join(FORMATS)})"
         ) from None
-    return writer(layout).encode("utf-8")
+    return writer(layout)
+
+
+def emit(layout: NetworkLayout, format: str) -> bytes:
+    """Serialize a layout to one of: dot, graphml, json, csv, svg."""
+    return "".join(emit_chunks(layout, format)).encode("utf-8")
 
 
 #: json's own spelling of the floats that repr writes as nan, inf and -inf
@@ -248,7 +253,7 @@ _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_number(value: float) -> str:
-    text = repr(value)
+    text = repr(float(value))
     return _JSON_NON_FINITE.get(text, text)
 
 
@@ -258,25 +263,27 @@ def _node_rows(layout: NetworkLayout) -> Iterator[tuple[str, float, float, str, 
                layout.angle.tolist(), layout.radius.tolist())
 
 
-def _emit_json(layout: NetworkLayout) -> str:
+def _emit_json(layout: NetworkLayout) -> Iterator[str]:
     """What ``json.dumps`` writes for the layout, with separators "," and ":"."""
     quoted = dict(zip(layout.nodes, map(encode_basestring_ascii, layout.nodes)))
-    number = _FloatMemo(_json_number)
-    nodes = [
-        f'{{"id":{quoted[name]},"strength":{number[s]},"volume":{number[v]},'
-        f'"ring":{encode_basestring_ascii(r)},"angle":{number[t]},"radius":{number[d]}}}'
-        for name, s, v, r, t, d in _node_rows(layout)
-    ]
-    edges = [f'{{"a":{quoted[a]},"b":{quoted[b]},"weight":{number[w]}}}'
-             for a, b, w in layout.edges]
-    return '{"nodes":[' + ",".join(nodes) + '],"edges":[' + ",".join(edges) + "]}"
+    number = _json_number  # a node's numbers rarely repeat: only the weights are memoized
+    yield '{"nodes":['
+    yield from _joined((
+        f'{{"id":{quoted[name]},"strength":{number(s)},"volume":{number(v)},'
+        f'"ring":{encode_basestring_ascii(r)},"angle":{number(t)},"radius":{number(d)}}}'
+        for name, s, v, r, t, d in _node_rows(layout)), ",")
+    yield '],"edges":['
+    weight = _FloatMemo(_json_number)
+    yield from _joined((f'{{"a":{quoted[a]},"b":{quoted[b]},"weight":{weight[w]}}}'
+                        for a, b, w in layout.edges), ",")
+    yield "]}"
 
 
-def _emit_csv(layout: NetworkLayout) -> str:
+def _emit_csv(layout: NetworkLayout) -> Iterator[str]:
     heads = dict(zip(layout.nodes, map(_csv_head, layout.nodes)))
     weight = _FloatMemo(float.__repr__)
-    lines = [heads[a] + heads[b] + weight[w] for a, b, w in layout.edges]
-    return "\n".join(["node_a,node_b,weight", *lines, ""])
+    yield "node_a,node_b,weight\n"
+    yield from _joined(f"{heads[a]}{heads[b]}{weight[w]}\n" for a, b, w in layout.edges)
 
 
 def _dot_quote(name: str) -> str:
@@ -284,19 +291,17 @@ def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _emit_dot(layout: NetworkLayout) -> str:
+def _emit_dot(layout: NetworkLayout) -> Iterator[str]:
     quoted = dict(zip(layout.nodes, map(_dot_quote, layout.nodes)))
     weight = _FloatMemo(float.__repr__)
-    lines = ["graph proximity {"]
-    for name, s, v, r, t, d in _node_rows(layout):
-        lines.append(
-            f"  {quoted[name]} [strength={float(s)!r}, volume={float(v)!r}, ring=\"{r}\", "
-            f"angle={float(t)!r}, radius={float(d)!r}];"
-        )
-    for a, b, w in layout.edges:
-        lines.append(f"  {quoted[a]} -- {quoted[b]} [weight={weight[w]}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield "graph proximity {\n"
+    yield from _joined(
+        f"  {quoted[name]} [strength={float(s)!r}, volume={float(v)!r}, ring=\"{r}\", "
+        f"angle={float(t)!r}, radius={float(d)!r}];\n"
+        for name, s, v, r, t, d in _node_rows(layout))
+    yield from _joined(f"  {quoted[a]} -- {quoted[b]} [weight={weight[w]}];\n"
+                       for a, b, w in layout.edges)
+    yield "}\n"
 
 
 def _xml_escape(text: str) -> str:
@@ -329,37 +334,34 @@ _GRAPHML_KEYS = (
 )
 
 
-def _emit_graphml(layout: NetworkLayout) -> str:
+def _emit_graphml(layout: NetworkLayout) -> Iterator[str]:
     quoted = dict(zip(layout.nodes, map(_xml_quoteattr, layout.nodes)))
     weight = _FloatMemo(float.__repr__)
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
-    ]
-    for key_id, domain, attr, attr_type in _GRAPHML_KEYS:
-        lines.append(
-            f'  <key id="{key_id}" for="{domain}" '
-            f'attr.name="{attr}" attr.type="{attr_type}"/>'
-        )
-    lines.append('  <graph id="proximity" edgedefault="undirected">')
-    for name, s, v, r, t, d in _node_rows(layout):
-        lines.append(f"    <node id={quoted[name]}>")
-        lines.append(f'      <data key="d_strength">{float(s)!r}</data>')
-        lines.append(f'      <data key="d_volume">{float(v)!r}</data>')
-        lines.append(f'      <data key="d_ring">{_xml_escape(r)}</data>')
-        lines.append(f'      <data key="d_angle">{float(t)!r}</data>')
-        lines.append(f'      <data key="d_radius">{float(d)!r}</data>')
-        lines.append("    </node>")
-    for a, b, w in layout.edges:
-        lines.append(f"    <edge source={quoted[a]} target={quoted[b]}>")
-        lines.append(f'      <data key="d_weight">{weight[w]}</data>')
-        lines.append("    </edge>")
-    lines.append("  </graph>")
-    lines.append("</graphml>")
-    return "\n".join(lines) + "\n"
+    yield "".join([
+        '<?xml version="1.0" encoding="UTF-8"?>\n',
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n',
+        *(f'  <key id="{key_id}" for="{domain}" attr.name="{attr}" attr.type="{attr_type}"/>\n'
+          for key_id, domain, attr, attr_type in _GRAPHML_KEYS),
+        '  <graph id="proximity" edgedefault="undirected">\n',
+    ])
+    yield from _joined(
+        f"    <node id={quoted[name]}>\n"
+        f'      <data key="d_strength">{float(s)!r}</data>\n'
+        f'      <data key="d_volume">{float(v)!r}</data>\n'
+        f'      <data key="d_ring">{_xml_escape(r)}</data>\n'
+        f'      <data key="d_angle">{float(t)!r}</data>\n'
+        f'      <data key="d_radius">{float(d)!r}</data>\n'
+        "    </node>\n"
+        for name, s, v, r, t, d in _node_rows(layout))
+    yield from _joined(
+        f"    <edge source={quoted[a]} target={quoted[b]}>\n"
+        f'      <data key="d_weight">{weight[w]}</data>\n'
+        "    </edge>\n"
+        for a, b, w in layout.edges)
+    yield "  </graph>\n</graphml>\n"
 
 
-def _emit_svg(layout: NetworkLayout) -> str:
+def _emit_svg(layout: NetworkLayout) -> Iterator[str]:
     center = SVG_SIZE / 2.0
     rings = [SVG_INNER_RADIUS if ring == "inner" else SVG_OUTER_RADIUS for ring in layout.ring]
     # the node centres; y is flipped so increasing angle reads counterclockwise on screen
@@ -368,26 +370,9 @@ def _emit_svg(layout: NetworkLayout) -> str:
     # formatted once and drawn by the node and by each of its edges
     xy = {name: (f"{x:.2f}", f"{y:.2f}") for name, (x, y) in zip(layout.nodes, centres)}
     width = _FloatMemo(lambda w: f"{6.0 * w:.3f}")
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
-        f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
-        f'  <rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
-    ]
-    for guide in (SVG_INNER_RADIUS, SVG_OUTER_RADIUS):
-        lines.append(
-            f'  <circle cx="{center:.1f}" cy="{center:.1f}" r="{guide:.1f}" '
-            'fill="none" stroke="#eeeeee" stroke-width="1"/>'
-        )
-    lines += [f'  <line x1="{xy[a][0]}" y1="{xy[a][1]}" x2="{xy[b][0]}" y2="{xy[b][1]}" '
-              f'stroke="#607090" stroke-width="{width[w]}" stroke-opacity="0.6"/>'
-              for a, b, w in layout.edges]
-    for name, (x, y), radius in zip(layout.nodes, centres, layout.radius.tolist()):
+
+    def node(name: str, x: float, y: float, radius: float) -> str:
         cx, cy = xy[name]
-        lines.append(
-            f'  <circle cx="{cx}" cy="{cy}" r="{radius:.2f}" '
-            'fill="#4878b0" stroke="#16324f" stroke-width="1.5"/>'
-        )
         # label just outside the node, pushed away from the ring center
         dx = x - center
         dy = y - center
@@ -395,12 +380,28 @@ def _emit_svg(layout: NetworkLayout) -> str:
         lx = x + (dx / norm) * (radius + 6.0)
         ly = y + (dy / norm) * (radius + 6.0)
         anchor = "start" if dx >= 0 else "end"
-        lines.append(
+        return (
+            f'  <circle cx="{cx}" cy="{cy}" r="{radius:.2f}" '
+            'fill="#4878b0" stroke="#16324f" stroke-width="1.5"/>\n'
             f'  <text x="{lx:.2f}" y="{ly:.2f}" font-family="Helvetica,sans-serif" '
-            f'font-size="14" text-anchor="{anchor}">{_xml_escape(name)}</text>'
+            f'font-size="14" text-anchor="{anchor}">{_xml_escape(name)}</text>\n'
         )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+
+    yield "".join([
+        '<?xml version="1.0" encoding="UTF-8"?>\n',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
+        f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n',
+        f'  <rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>\n',
+        *(f'  <circle cx="{center:.1f}" cy="{center:.1f}" r="{guide:.1f}" '
+          'fill="none" stroke="#eeeeee" stroke-width="1"/>\n'
+          for guide in (SVG_INNER_RADIUS, SVG_OUTER_RADIUS)),
+    ])
+    yield from _joined(f'  <line x1="{xy[a][0]}" y1="{xy[a][1]}" x2="{xy[b][0]}" y2="{xy[b][1]}" '
+                       f'stroke="#607090" stroke-width="{width[w]}" stroke-opacity="0.6"/>\n'
+                       for a, b, w in layout.edges)
+    yield from _joined(node(name, x, y, radius) for name, (x, y), radius
+                       in zip(layout.nodes, centres, layout.radius.tolist()))
+    yield "</svg>\n"
 
 
 _EMITTERS = {

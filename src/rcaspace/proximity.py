@@ -15,11 +15,13 @@ self-loops are excluded from node strength and from exports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DataError
-from .ingest import _csv_head, _FloatMemo, _long_csv_text, _owned
+from .ingest import _csv_head, _FloatMemo, BLOCK_ROWS, _long_csv_chunks, _owned
 from .rca import AdvantageMatrix, diversity, ubiquity
 
 MODES = ("fields", "countries")
@@ -117,17 +119,24 @@ def country_proximity(adv: AdvantageMatrix, volumes=None) -> ProximityNetwork:
     return _network("countries", adv.countries, co_occurrence(adv, "countries"), volumes)
 
 
+def proximity_csv_chunks(net: ProximityNetwork) -> Iterator[str]:
+    """The text of :func:`proximity_csv_text`, a group of rows at a time."""
+    order = sorted(range(len(net.nodes)), key=net.nodes.__getitem__)
+    heads = [_csv_head(net.nodes[i]) for i in order]
+    by_name = net.weights[np.ix_(order, order)]
+    weight = _FloatMemo(float.__repr__)
+    n = len(heads)
+    step = max(1, BLOCK_ROWS // max(n - 1, 1))  # rows of at most n - 1 lines
+    return _long_csv_chunks("node_a,node_b,weight", (
+        [(heads[k], map(add, heads[k + 1:], map(weight.__getitem__, by_name[k, k + 1:].tolist())))
+         for k in range(i, min(i + step, n - 1))]
+        for i in range(0, n - 1, step)))
+
+
 def proximity_csv_text(net: ProximityNetwork) -> str:
     """Serialize the weight matrix as ``node_a,node_b,weight`` long CSV.
 
     Every unordered pair appears once with a < b lexicographically, zero
     weights included, so the matrix can be reconstructed from the file.
     """
-    order = sorted(range(len(net.nodes)), key=net.nodes.__getitem__)
-    heads = [_csv_head(net.nodes[i]) for i in order]
-    by_name = net.weights[np.ix_(order, order)]
-    weight = _FloatMemo(float.__repr__)
-    return _long_csv_text("node_a,node_b,weight", (
-        (head, heads[k + 1:], map(weight.__getitem__, by_name[k, k + 1:].tolist()))
-        for k, head in enumerate(heads)
-    ))
+    return "".join(proximity_csv_chunks(net))

@@ -2,13 +2,20 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from rcaspace import IndexKind, cli
+from rcaspace import AdvantageMatrix, IndexKind, cli
 from rcaspace.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from rcaspace.errors import DataError
+from rcaspace.ingest import matrix_csv_chunks
+from rcaspace.netexport import build_layout, emit_chunks
+from rcaspace.proximity import field_proximity
+
+from .oracles import reference_emit, reference_matrix_csv_text
 
 DOCS_CSV = "country,field,value\nA,Mth,10\nA,Chm,2\nB,Mth,3\nB,Chm,9\n"
 CITS_CSV = "country,field,value\nA,Mth,8\nA,Chm,1\nB,Mth,2\nB,Chm,12\n"
@@ -220,6 +227,14 @@ class TestLoadStage:
             cli.load_dataset(cfg)
 
 
+class _FailsAfterFirstChunk:
+    """Text chunks whose stream breaks after the first one."""
+
+    def __iter__(self):
+        yield "new"
+        raise OSError("the stream broke after its first chunk")
+
+
 class TestErrorContract:
     def test_missing_manifest_is_io_error(self, tmp_path):
         code = main(
@@ -255,6 +270,16 @@ class TestErrorContract:
         code = main(["rca", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
         assert f"manifest {manifest}: invalid JSON" in capsys.readouterr().err
+
+    def test_unknown_index_kind_names_the_manifest(self, tmp_path, capsys):
+        manifest = write_dataset(tmp_path, {"documents": DOCS_CSV})
+        manifest.write_text(manifest.read_text().replace('"documents"', '"bogus"'))
+        code = main(["rca", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"rcaspace: error: manifest {manifest}: unknown index kind 'bogus' (expected one of: "
+            "documents, citations, self_citations, citations_per_document, h_index)\n"
+        )
 
     def test_deeply_nested_manifest_is_data_error(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
@@ -329,6 +354,7 @@ class TestErrorContract:
     @pytest.mark.parametrize("data, replace", [
         pytest.param("\ud800", os.replace, id="unencodable-text"),
         pytest.param(b"new", mock.Mock(side_effect=OSError("rename failed")), id="failed-rename"),
+        pytest.param(_FailsAfterFirstChunk(), os.replace, id="stream-fails-midway"),
     ])
     def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, data, replace):
         target = tmp_path / "report.json"
@@ -381,6 +407,45 @@ class TestErrorContract:
             main(["--version"])
         assert exc.value.code == 0
         assert "rcaspace" in capsys.readouterr().out
+
+
+class TestStreamedWrites:
+    """The CLI writes each file a block of rows at a time, never holding it whole.
+
+    Held whole, the text alone is as large as the file, and its encoded copy
+    as large again, so a peak below half the file's size shows the stream.
+    """
+
+    @staticmethod
+    def _write_peak(path, make_chunks, *args) -> int:
+        """Peak bytes allocated while the CLI's write path writes ``make_chunks(*args)``."""
+        tracemalloc.start()
+        try:
+            cli._write_bytes(path, make_chunks(*args))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_paper_scale_rca_csv(self, tmp_path):
+        rng = np.random.default_rng(7)
+        values = rng.random((240, 313)) * 4.0 * (rng.random((240, 313)) > 0.2)
+        grid = tuple(f"C{i:03d}" for i in range(240)), tuple(f"F{j:03d}" for j in range(313))
+        path = tmp_path / "rca_documents.csv"
+        peak = self._write_peak(path, matrix_csv_chunks, *grid, values)
+        assert path.read_text(encoding="utf-8") == reference_matrix_csv_text(*grid, values)
+        assert peak < 0.5 * path.stat().st_size
+
+    def test_graphml_of_thousands_of_edges(self, tmp_path):
+        rng = np.random.default_rng(7)
+        m = rng.random((30, 120)) < 0.5
+        adv = AdvantageMatrix(tuple(f"C{i:02d}" for i in range(30)),
+                              tuple(f"F{j:03d}" for j in range(120)), m)
+        layout = build_layout(field_proximity(adv, m.sum(axis=0)), threshold=0.0)
+        assert len(layout.edges) >= 5000
+        path = tmp_path / "network_fields_documents.graphml"
+        peak = self._write_peak(path, emit_chunks, layout, "graphml")
+        assert path.read_bytes() == reference_emit(layout, "graphml")
+        assert peak < 0.5 * path.stat().st_size
 
 
 class TestNetworkAndProximity:

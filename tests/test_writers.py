@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcaspace.ingest import matrix_csv_text
+from rcaspace.ingest import BLOCK_ROWS, matrix_csv_text
 from rcaspace.netexport import (
     FORMATS,
     NetworkLayout,
@@ -131,3 +131,27 @@ def test_matrix_csv_matches_reference(n_c, n_f, dtype, data):
                       dtype=dtype).reshape(n_c, n_f)
     assert matrix_csv_text(countries, fields, values) == \
         reference_matrix_csv_text(countries, fields, values)
+
+
+def test_writers_match_reference_across_chunks():
+    """Outputs of several ``BLOCK_ROWS`` chunks join to the reference bytes."""
+    rng = np.random.default_rng(3)
+    names_ = tuple(f"n,{i:04d}" for i in range(2 * BLOCK_ROWS + 1))
+    for values in (rng.random((300, 5)) * 3.0 // 0.5, rng.random((3, BLOCK_ROWS // 2 + 1)) < 0.5):
+        countries, fields = names_[:values.shape[0]], names_[:values.shape[1]]
+        assert matrix_csv_text(countries, fields, values) == \
+            reference_matrix_csv_text(countries, fields, values)
+    n = 40  # 780 pairs in rows of 39 to 1 lines
+    w = np.triu(rng.random((n, n)) // 0.25 / 4.0, 1)
+    w = w + w.T + np.eye(n)
+    net = ProximityNetwork("fields", names_[:n][::-1], w, w.sum(axis=1) - 1.0, np.ones(n))
+    assert proximity_csv_text(net) == reference_proximity_csv_text(net)
+    ends = rng.integers(0, len(names_), size=(len(names_), 2))
+    layout = NetworkLayout(
+        mode="fields", nodes=names_, strength=rng.random(len(names_)),
+        volume=np.ones(len(names_)), ring=("inner", "outer") * BLOCK_ROWS + ("inner",),
+        angle=rng.random(len(names_)), radius=rng.random(len(names_)) * 40.0,
+        edges=tuple(sorted({(names_[a], names_[b], 0.25 * (a % 4)) for a, b in ends})),
+    )
+    for fmt in FORMATS:
+        assert emit(layout, fmt) == reference_emit(layout, fmt), fmt
