@@ -75,15 +75,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _write_bytes(path: Path, chunks: Iterable[str] | bytes) -> None:
-    """Atomic write of text ``chunks``, each UTF-8-encoded as it comes (bytes as they are):
-    temp file in the target directory, then rename."""
+def _write_bytes(path: Path, chunks: Iterable[str]) -> None:
+    """Atomic write of text ``chunks``, each UTF-8-encoded as it comes: temp
+    file in the target directory, then rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.writelines((chunks,) if isinstance(chunks, bytes)
-                          else (chunk.encode("utf-8") for chunk in chunks))
+            fh.writelines(chunk.encode("utf-8") for chunk in chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -152,16 +152,9 @@ def _backbone_in_numpy(nodes: tuple[str, ...], weights: np.ndarray,
                        threshold: float) -> list[Edge]:
     n = len(nodes)
     order = sorted(range(n), key=nodes.__getitem__)  # rank -> node index
-    at = np.array(order, dtype=np.intp)
-    by_rank = weights[np.ix_(at, at)]
-    upper = ~np.tri(n, dtype=bool)  # the rank pairs p < q
-    # the ranks p < q of the nodes i > j weigh weights[j, i], which is by_rank[q, p]
-    swap = upper & (at[:, None] > at[None, :])
-    by_rank[swap] = by_rank.T[swap]
-    del swap
+    by_rank = weights[np.ix_(order, order)]
     # the edges' keys p * n + q over the ranks p < q, ascending: in name-pair order
-    keys = np.flatnonzero(upper & (by_rank > 0.0))
-    del upper
+    keys = np.flatnonzero(~np.tri(n, dtype=bool) & (by_rank > 0.0))
     neg = np.take(by_rank, keys)
     del by_rank
     np.negative(neg, out=neg)  # minus the weights, then the position: Kruskal order
@@ -178,9 +171,8 @@ def _backbone_in_numpy(nodes: tuple[str, ...], weights: np.ndarray,
 def backbone(net: ProximityNetwork, threshold: float = DEFAULT_THRESHOLD) -> list[Edge]:
     """Retained edge list: max-weight spanning forest plus edges >= threshold.
 
-    The edges of the network are the positive-weight node pairs; the weight
-    of the pair of nodes i < j (in ``net.nodes`` order) is ``weights[i, j]``,
-    so only the upper triangle is read.  Kruskal takes the edges by weight
+    The edges of the network are the positive-weight node pairs, weighed by
+    the network's symmetric weight matrix.  Kruskal takes the edges by weight
     descending, ties broken by the node names in code-point order, so the
     forest is unique.  At threshold 0 every edge is retained.  Edges come back
     as (a, b, weight) with a < b, sorted by name.

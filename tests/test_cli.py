@@ -353,7 +353,7 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("data, replace", [
         pytest.param("\ud800", os.replace, id="unencodable-text"),
-        pytest.param(b"new", mock.Mock(side_effect=OSError("rename failed")), id="failed-rename"),
+        pytest.param(["new"], mock.Mock(side_effect=OSError("rename failed")), id="failed-rename"),
         pytest.param(_FailsAfterFirstChunk(), os.replace, id="stream-fails-midway"),
     ])
     def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, data, replace):

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -20,8 +22,10 @@ from rcaspace import (
     emit,
     size_nodes,
 )
-from rcaspace import netexport
+from rcaspace import cli, netexport
+from rcaspace.demo import write_demo_dataset
 from rcaspace.netexport import PYTHON_LISTING_MAX_PAIRS
+from rcaspace.proximity import MODES, proximity_csv_text
 
 from .oracles import reference_backbone
 
@@ -153,18 +157,17 @@ _SMALL_N = max(n for n in range(64) if n * (n - 1) // 2 <= PYTHON_LISTING_MAX_PA
 
 @st.composite
 def quarter_networks(draw):
-    """Weights in quarter steps (ties are common), possibly asymmetric, with
-    isolated nodes and disconnected groups; shuffled names where "Z" < "a" < "É"."""
+    """Symmetric weights in quarter steps (ties are common), with isolated
+    nodes and disconnected groups; shuffled names where "Z" < "a" < "É"."""
     n = draw(st.one_of(st.integers(0, _SMALL_N), st.integers(_SMALL_N + 1, _SMALL_N + 8)))
     names = draw(st.lists(st.text("ZaÉz", min_size=1, max_size=3),
                           min_size=n, max_size=n, unique=True))
     quarters = draw(st.lists(st.integers(0, 4), min_size=n * n, max_size=n * n))
     w = np.array(quarters, dtype=float).reshape(n, n) / 4.0
-    if draw(st.booleans()):
-        w = np.triu(w) + np.triu(w, 1).T
+    w = np.triu(w) + np.triu(w, 1).T  # symmetric; the diagonal stays random
     groups = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=int)
     w[groups[:, None] != groups[None, :]] = 0.0
-    w[groups == 3, :] = 0.0  # group 3 nodes are isolated
+    w[groups == 3, :] = w[:, groups == 3] = 0.0  # group 3 nodes are isolated
     return net_from(w, names)
 
 
@@ -182,11 +185,10 @@ def numpy_listing_networks(draw):
     if draw(st.booleans()):
         names.sort()
     w = rng.integers(0, 5, (n, n)) / 4.0
-    if draw(st.booleans()):
-        w = np.triu(w) + np.triu(w, 1).T
+    w = np.triu(w) + np.triu(w, 1).T  # symmetric; the diagonal stays random
     groups = rng.integers(0, draw(st.integers(1, 4)), n)
     w[groups[:, None] != groups[None, :]] = 0.0
-    w[groups == 3, :] = 0.0  # group 3 nodes are isolated
+    w[groups == 3, :] = w[:, groups == 3] = 0.0  # group 3 nodes are isolated
     return net_from(w, names)
 
 
@@ -289,13 +291,14 @@ class TestBackboneReference:
         assert netexport.spanning_forest(n, a, b, key) == expected
 
     @pytest.mark.parametrize("n", [3, _SMALL_N + 1])
-    def test_asymmetric_weights_read_upper_triangle(self, n):
-        # the pair of nodes i < j (in node order) weighs weights[i, j]; the
-        # lower triangle is never read, whatever the names' order
+    def test_asymmetric_weights_rejected(self, n):
+        # on either listing size, a pair that weighs differently in the two
+        # triangles has no weight for the backbone and the proximity CSV to agree on
         weights = np.zeros((n, n))
         weights[0, 1], weights[1, 0] = 0.25, 0.75
         names = ["b", "a"] + [f"c{k}" for k in range(n - 2)]
-        assert backbone(net_from(weights, names), 0.0) == [("a", "b", 0.25)]
+        with pytest.raises(DataError, match="proximity weights must be symmetric"):
+            net_from(weights, names)
 
     @pytest.mark.parametrize("n", [3, _SMALL_N + 1])
     def test_duplicate_node_names_rejected(self, n):
@@ -303,6 +306,28 @@ class TestBackboneReference:
         names = ["A", "A"] + [f"n{k:02d}" for k in range(n - 2)]
         with pytest.raises(DataError, match="duplicate node names"):
             net_from(np.full((n, n), 0.5), names)
+
+
+class TestSymmetryContract:
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(quarter_networks(), numpy_listing_networks()))
+    def test_proximity_csv_agrees_with_backbone(self, net):
+        # at threshold 0 the backbone holds every positive pair
+        rows = csv.reader(io.StringIO(proximity_csv_text(net), newline=""))
+        assert next(rows) == ["node_a", "node_b", "weight"]
+        weight = {(a, b): float(w) for a, b, w in rows}
+        for a, b, w in backbone(net, 0.0):
+            assert weight[a, b] == w
+
+    def test_pipeline_networks_pass_the_constructor(self, tmp_path):
+        # every network the pipeline builds (without the constructor's checks)
+        # is one the constructor accepts: the 10 demo networks and two dense ones
+        data = cli.load_dataset(cli.RunConfig(write_demo_dataset(tmp_path), tmp_path / "out"))
+        nets = [cli.proximity_network(a, mode) for a in data.analyses for mode in MODES]
+        assert len(nets) == 10
+        nets += [country_proximity(seeded_advantage(400, shuffled)) for shuffled in (False, True)]
+        for net in nets:
+            ProximityNetwork(net.mode, net.nodes, net.weights, net.node_strength, net.node_volume)
 
 
 def _traced_peak(fn, *args):

@@ -45,8 +45,8 @@ def networks(draw):
     nodes = draw(st.lists(names, min_size=draw(node_counts) or 1, max_size=9, unique=True))
     n = len(nodes)
     w = np.array(draw(st.lists(weights, min_size=n * n, max_size=n * n))).reshape(n, n)
-    if draw(st.booleans()):
-        w = np.triu(w, 1) + np.triu(w, 1).T + np.eye(n)
+    # symmetric with a random diagonal; a sum would turn each -0.0 into 0.0
+    w = np.where(np.tri(n, k=-1, dtype=bool), w.T, w)
     volumes = np.array(draw(st.lists(st.sampled_from((0.0, 1.0, 3.0, 1e6)),
                                      min_size=n, max_size=n)))
     return ProximityNetwork("fields", tuple(nodes), w, w.sum(axis=1) - np.diag(w), volumes)
