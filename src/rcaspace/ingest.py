@@ -8,12 +8,18 @@ is no fuzzy matching, silent merges being worse than warnings.
 
 Absent (country, field) cells are materialized as zeros so that downstream
 world-share denominators are complete sums.
+
+A file is parsed by a columnar byte reader: numpy finds the separators in
+blocks of raw bytes, and only each column's distinct spellings are decoded.
+A file it declines, bad or not, is read again by a per-row ``csv`` reader,
+the only one that writes error messages.
 """
 from __future__ import annotations
 
 import csv
 import enum
 import functools
+import io
 import itertools
 import json
 import math
@@ -235,90 +241,254 @@ def _parse_value(text: str, line: int) -> float:
     raise DataError(f"negative value at line {line}")
 
 
-#: Rows converted per block; a row's strings die with its block.  Measured on
-#: a 65k-row, 2.4 MB table: parse time is flat from 128 to 2048 rows, while
-#: the parse's rise in peak RSS grows with the block (6.5 MB at 512 rows,
-#: 7.0 MB at 1024, 11.9 MB at 8192; 17.5 MB when every row is held).
+#: Rows or items per chunk of the text writers.
 BLOCK_ROWS = 512
+
+#: Bytes the byte reader reads per block.  A block holds whole lines; the
+#: unfinished line at its end is carried into the next.
+BLOCK_BYTES = 1 << 16
+#: The longest field the byte reader takes, in bytes, quotes included (far
+#: under the csv module's field limit).  A longer field, or a line longer
+#: than four of them, sends the file to the per-row reader.
+_MAX_FIELD = 512
+#: Odd multipliers that fold the 8-byte words of a field into its
+#: fingerprint; odd, so that fields of up to 8 bytes never collide.
+_MULTIPLIERS = np.array([pow(0x9E3779B97F4A7C15, k + 1, 1 << 64) for k in range(_MAX_FIELD // 8)],
+                        dtype=np.uint64)
+#: Low bits of a sort key that hold a span's index in its block (a block has
+#: fewer rows); the fingerprint keeps the other 44.
+_SPAN_BITS = 20
+#: ``_LOW_BYTES[k]`` keeps the first ``k`` bytes of a little-endian word.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
 def _is_long_header(row: list[str]) -> bool:
     return [h.strip().lower() for h in row] == ["country", "field", "value"]
 
 
-def _codes(spellings: Sequence[str], code: dict[str, int],
-           names: dict[str, int]) -> np.ndarray:
-    """Codes of ``spellings``; each new spelling is normalized once.
+def _unquoted(cell: str) -> str:
+    """The text of a cell as written: itself, or the inside of ``"..."`` with
+    each ``""`` undoubled.  Any other quote raises ValueError."""
+    if '"' not in cell:
+        return cell
+    inner = cell[1:-1]
+    if len(cell) < 2 or cell[0] != '"' or cell[-1] != '"' or '"' in inner.replace('""', ""):
+        raise ValueError("irregular quotes")
+    return inner.replace('""', '"')
 
-    When every spelling already has a code, one dict lookup per row gives
-    them.  Otherwise the new spellings, in order of first appearance, get
-    the codes that ``names`` gives their normalized names, and the lookup is
-    made again.  An empty name raises ValueError.
+
+def _is_blank_line(line: bytes, header: bool = False) -> bool:
+    """Whether ``line`` holds only blank cells; with ``header``, False for the
+    header.  ValueError for any other line, and for a quoted cell that holds
+    a comma."""
+    cells = [_unquoted(cell) for cell in line.decode("utf-8").split(",")]
+    if _is_blank(cells):
+        return True
+    if header and _is_long_header(cells):
+        return False
+    raise ValueError("not a data row")
+
+
+class _Column:
+    """The distinct spellings of one column so far: each one's fingerprint
+    (``keys``, sorted), masked words (a column of ``words``) and value, which
+    ``convert`` gives from its text when it is first met.  One more entry,
+    keyed above every fingerprint, makes every search land on an entry."""
+
+    def __init__(self, convert: Callable[[list[str]], np.ndarray]) -> None:
+        self.convert = convert
+        self.keys = np.array([1 << (64 - _SPAN_BITS)], dtype=np.uint64)
+        self.words = np.zeros((1, 1), dtype=np.uint64)
+        self.values = np.zeros(1, dtype=convert([]).dtype)
+
+    def __call__(self, words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """The value of each span ``[starts, ends)`` of a block whose 8-byte
+        word at byte ``i`` is ``words[i]``.
+
+        Sorted with the span's index in their low bits, equal fingerprints
+        sit together behind their first span.  Each distinct one is looked
+        up, then every span is compared word by word with the spelling found
+        (with no NUL byte, equal words are equal bytes), so a collision
+        raises ValueError rather than merging two spellings, as does a span
+        over ``_MAX_FIELD`` bytes.
+        """
+        lengths = ends - starts
+        width = max(-(-int(lengths.max(initial=0)) // 8), 1)
+        if width > _MAX_FIELD // 8:
+            raise ValueError("field too long")
+        offsets = np.arange(0, 8 * width, 8)[:, None]
+        grid = words[starts + offsets].view(np.uint64)  # a column per span
+        grid &= _LOW_BYTES[np.minimum(np.maximum(np.arange(8 * width + 1) - offsets, 0), 8)].take(
+            lengths, axis=1)
+        keys = _MULTIPLIERS[:width] @ grid
+        keys >>= _SPAN_BITS
+        keys <<= _SPAN_BITS
+        keys |= np.arange(keys.size, dtype=np.uint64)
+        keys.sort()
+        spans = (keys & ((1 << _SPAN_BITS) - 1)).astype(np.intp)
+        keys >>= _SPAN_BITS
+        heads = np.empty(keys.size, dtype=bool)
+        heads[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=heads[1:])
+        spelling = np.empty_like(spans)
+        spelling[spans] = np.cumsum(heads) - 1
+        keys, spans = keys[heads], spans[heads]  # each distinct fingerprint and its first span
+        at = self.keys.searchsorted(keys)
+        new = self.keys.take(at) != keys
+        if new.any():
+            self._add(grid, keys[new], spans[new])
+            at = self.keys.searchsorted(keys)
+        at = at.take(spelling)
+        known = self.words.take(at, axis=1)  # never narrower than grid
+        if not np.array_equal(known[:width], grid) or known[width:].any():
+            raise ValueError("fingerprint collision")
+        return self.values.take(at)
+
+    def _add(self, grid: np.ndarray, keys: np.ndarray, spans: np.ndarray) -> None:
+        """Add the spellings of ``spans``, whose fingerprints are ``keys``."""
+        first = np.zeros(grid.shape[1], dtype=np.uint64)  # in span order, so new names
+        first[spans] = keys + 1  # take codes in order of first appearance
+        spans = np.flatnonzero(first)
+        keys = first[spans] - 1
+        spelled = np.ascontiguousarray(grid[:, spans].T).view(f"S{8 * len(grid)}")
+        text = b"\0".join(spelled.ravel().tolist()).decode("utf-8")  # S items drop the padding
+        values = self.convert([_unquoted(cell) for cell in text.split("\0")])
+        words = np.zeros((max(len(grid), len(self.words)), self.keys.size + keys.size),
+                         dtype=np.uint64)
+        words[:len(self.words), :self.keys.size] = self.words
+        words[:len(grid), self.keys.size:] = grid[:, spans]
+        keys = np.concatenate([self.keys, keys])
+        order = np.argsort(keys, kind="stable")  # two sorted runs, merged
+        self.keys, self.words = keys[order], words[:, order]
+        self.values = np.concatenate([self.values, values])[order]
+
+
+def _name_codes(names: dict[str, int]) -> Callable[[list[str]], np.ndarray]:
+    """``convert`` for a name column: the code of each cell's normalized name
+    in ``names``, new names numbered in order, or -1 for a blank name."""
+    def code(cell: str) -> int:
+        name = normalize_name(cell)
+        return names.setdefault(name, len(names)) if name else -1
+    return lambda cells: np.fromiter(map(code, cells), np.int32, len(cells))
+
+
+def _values(cells: list[str]) -> np.ndarray:
+    """``convert`` for the value column; ValueError unless finite and not negative."""
+    values = np.fromiter(map(float, cells), np.float64, len(cells))
+    if not np.all((values >= 0.0) & (values < np.inf)):
+        raise ValueError("value out of range")
+    return values
+
+
+def _data_rows(stream: IO[bytes]) -> Iterator[tuple[np.ndarray, ...]]:
+    """The data rows of ``stream``, a block of whole lines at a time: the
+    block's bytes, the 8-byte word at each byte, and each row's start, two
+    commas and end (before ``\\r\\n`` or ``\\n``), all viewing one buffer.
+
+    Lines and fields are cut at the commas and newlines outside quotes,
+    found by a prefix XOR over the quotes among them.  The header and blank
+    lines are skipped.  Any other line without two such commas, a NUL byte,
+    a bare ``\\r``, an unclosed quote or a line over four ``_MAX_FIELD``
+    raises ValueError.
     """
-    try:
-        return np.fromiter(map(code.__getitem__, spellings), np.intp, len(spellings))
-    except KeyError:
-        for spelling in dict.fromkeys(spellings):
-            if spelling not in code:
-                name = normalize_name(spelling)
-                if not name:
-                    raise ValueError("empty name")
-                code[spelling] = names.setdefault(name, len(names))
-    return _codes(spellings, code, names)
+    buf = bytearray(BLOCK_BYTES + 5 * _MAX_FIELD + 8)  # a span's words reach _MAX_FIELD past it
+    words = np.ndarray((len(buf) - 7,), "V8", buf, 0, (1,))
+    held = 0  # bytes of an unfinished line, carried at the start of buf
+    header_seen = False
+    while True:
+        with memoryview(buf) as view:
+            read = stream.readinto(view[held:held + BLOCK_BYTES])
+        end = held + read
+        if not read:
+            if not held:
+                return
+            buf[end] = 10  # the last line's newline
+            end += 1
+        data = np.frombuffer(buf, np.uint8, end)
+        marks = np.flatnonzero((data == 44) | (data == 10) | (data == 34))
+        quoted = data[marks] == 34
+        quoted |= np.logical_xor.accumulate(quoted)  # a quote, or inside quotes
+        seps = marks[~quoted]
+        newlines = np.flatnonzero(data[seps] == 10)
+        if not newlines.size:  # no whole line yet
+            if not read or end > 4 * _MAX_FIELD:
+                raise ValueError("no line end")
+            held = end
+            continue
+        stop = int(seps[newlines[-1]]) + 1
+        lines = data[:stop]
+        if lines.min() == 0 or not np.all(lines[np.flatnonzero(lines == 13) + 1] == 10):
+            raise ValueError("NUL byte or bare \\r")
+        ends = seps[newlines]
+        starts = np.empty_like(ends)
+        starts[0] = 0
+        starts[1:] = ends[:-1] + 1
+        ends -= (lines[ends - 1] == 13) & (ends > starts)
+        first = 0
+        while not header_seen and first < ends.size:
+            line = lines[starts[first]:ends[first]].tobytes()
+            header_seen = bool(line) and not _is_blank_line(line, header=True)
+            first += 1
+        regular = np.diff(newlines, prepend=-1)[first:] == 3  # two commas, then a newline
+        starts, ends, newlines = starts[first:], ends[first:], newlines[first:]
+        for k in np.flatnonzero(~regular & (ends > starts)).tolist():
+            _is_blank_line(lines[starts[k]:ends[k]].tobytes())
+        rows = newlines[regular]
+        yield lines, words, starts[regular], seps[rows - 2], seps[rows - 1], ends[regular]
+        held = end - stop
+        if held > 4 * _MAX_FIELD:
+            raise ValueError("line too long")
+        buf[:held] = buf[stop:end]
 
 
-def _long_table_in_blocks(reader: Iterator[list[str]],
-                          index_kind: IndexKind) -> ProductionTable | None:
-    """The long table read ``BLOCK_ROWS`` rows at a time, or None when a check fails.
+def _table_in_byte_blocks(stream: IO[bytes], index_kind: IndexKind) -> ProductionTable | None:
+    """The long table read from the binary ``stream``, or None to decline.
 
-    A failed check, a csv error or a duplicate cell returns None without
-    naming the line; the caller rereads the file with :func:`_table_per_row`.
-    A block is checked whole: every row must have 3 columns, every value must
-    be finite and not negative and every name must normalize to a nonempty
-    one.  Blank lines and all-blank rows (``,,`` or whitespace) are dropped
-    from a block that fails its checks, and the block is checked again.
-    Same table as :func:`_table_per_row` otherwise.
+    Each column's spans go through a :class:`_Column`, so only distinct
+    spellings are decoded, unquoted, normalized or given to ``float``.  A
+    row of blank cells is skipped.  A fault :func:`_data_rows` or
+    :class:`_Column` finds, a bad value, an empty name or a duplicate cell
+    returns None without naming the line, and the caller rereads the file
+    with :func:`_table_per_row`.  Same table as that reader otherwise.
     """
-    countries: dict[str, int] = {}
-    fields: dict[str, int] = {}
-    country_code: dict[str, int] = {}  # spelling -> code
-    field_code: dict[str, int] = {}
-
-    def columns(block: list[list[str]]):
-        country_col, field_col, texts = zip(*block, strict=True)  # else ValueError
-        values = np.fromiter(map(float, texts), np.float64, len(texts))
-        if not np.all((values >= 0.0) & (values < np.inf)):
-            raise ValueError("value out of range")
-        return (_codes(country_col, country_code, countries),
-                _codes(field_col, field_code, fields), values)
-
-    parts = []
+    countries, fields = {}, {}
+    country, field, value = (_Column(_name_codes(countries)), _Column(_name_codes(fields)),
+                             _Column(_values))
+    matrix, seen = np.zeros((0, 0)), np.zeros((0, 0), dtype=bool)  # grown as names come
+    n_rows = 0
     try:
-        header = next(itertools.filterfalse(_is_blank, reader), None)
-        if header is None or not _is_long_header(header):
-            return None
-        for block in iter(lambda: list(itertools.islice(reader, BLOCK_ROWS)), []):
-            try:
-                parts.append(columns(block))
-            except ValueError:
-                kept = list(itertools.filterfalse(_is_blank, block))
-                if len(kept) == len(block):
-                    return None
-                if kept:
-                    parts.append(columns(kept))
-    except (csv.Error, ValueError):
+        for lines, words, starts, comma1, comma2, ends in _data_rows(stream):
+            rows, cols = country(words, starts, comma1), field(words, comma1 + 1, comma2)
+            starts = comma2 + 1
+            if np.any(blank := rows < 0):  # skipped if all its cells are blank
+                if np.any(cols[blank] >= 0) or any(
+                        _unquoted(lines[start:end].tobytes().decode("utf-8")).strip()
+                        for start, end in zip(starts[blank].tolist(), ends[blank].tolist())):
+                    raise ValueError("empty country name")
+                rows, cols, starts, ends = rows[~blank], cols[~blank], starts[~blank], ends[~blank]
+            if np.any(cols < 0):
+                raise ValueError("empty field name")
+            if len(countries) > len(matrix) or len(fields) > matrix.shape[1]:
+                matrix, seen = (_grown(a, len(countries), len(fields)) for a in (matrix, seen))
+            seen[rows, cols] = True
+            matrix[rows, cols] = value(words, starts, ends)
+            n_rows += rows.size
+    except ValueError:
         return None
-    if not parts:
+    if not n_rows or np.count_nonzero(seen) != n_rows:  # none, or a duplicate cell
         return None
-    rows, cols, values = map(np.concatenate, zip(*parts))
-    cells = rows * len(fields) + cols
-    seen = np.zeros(len(countries) * len(fields), dtype=bool)
-    seen[cells] = True
-    if np.count_nonzero(seen) != cells.size:
-        return None
-    matrix = np.zeros((len(countries), len(fields)))
-    matrix[rows, cols] = values
+    matrix = np.ascontiguousarray(matrix[:len(countries), :len(fields)])
     return _owned(ProductionTable, index_kind, tuple(countries), tuple(fields), matrix)
+
+
+def _grown(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """``a`` in the corner of zeros of at least ``rows`` x ``cols``; a side that
+    grows at least doubles.  The zeros are allocated untouched, so capacity
+    that is never written costs no memory."""
+    out = np.zeros([max(2 * size, need) if need > size else size
+                    for size, need in zip(a.shape, (rows, cols))], dtype=a.dtype)
+    out[:a.shape[0], :a.shape[1]] = a
+    return out
 
 
 def parse_production_csv(path: str | Path, index_kind: IndexKind) -> ProductionTable:
@@ -329,16 +499,17 @@ def parse_production_csv(path: str | Path, index_kind: IndexKind) -> ProductionT
     Duplicate (country, field) rows are an error; pairs absent from the file
     become zero cells.  Every error message carries the offending line number.
 
-    The rows are converted a block of whole columns at a time.  A file the
-    blocks decline, bad or not, is read again from the start by
-    :func:`_table_per_row`.  Only that reader writes error messages, so an
-    error names the first bad line in file order.
+    The file's bytes are parsed a block at a time by
+    :func:`_table_in_byte_blocks`.  A file it declines, bad or not, is read
+    again from the start by :func:`_table_per_row`.  Only that reader writes
+    error messages, so an error names the first bad line in file order.
     """
-    with open(path, "r", encoding="utf-8", newline="") as stream:
-        table = _long_table_in_blocks(csv.reader(stream), index_kind)
+    with open(path, "rb") as stream:
+        table = _table_in_byte_blocks(stream, index_kind)
         if table is None:
             stream.seek(0)
-            table = _table_per_row(stream, index_kind)
+            table = _table_per_row(io.TextIOWrapper(stream, encoding="utf-8", newline=""),
+                                   index_kind)
     return table
 
 

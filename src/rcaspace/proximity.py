@@ -32,8 +32,8 @@ class ProximityNetwork:
     """Symmetric weighted graph over fields or countries, weights in [0, 1].
 
     The constructor rejects a weight outside [0, 1] or NaN (``-0.0`` is in
-    range), weights that are not exactly symmetric, and volumes that are not
-    finite, non-negative numbers.
+    range), weights that are not bit for bit symmetric, and volumes that are
+    not finite, non-negative numbers.
     """
 
     mode: str
@@ -56,7 +56,8 @@ class ProximityNetwork:
             raise DataError(f"weights and node strength shapes {shapes} do not match {n} nodes")
         if not np.all((self.weights >= 0.0) & (self.weights <= 1.0)):  # NaN fails both
             raise DataError("proximity weights must be in [0, 1]")
-        if not np.array_equal(self.weights, self.weights.T):
+        bits = self.weights.view(np.int64)  # so a -0.0 does not pass for its 0.0
+        if not np.array_equal(bits, bits.T):
             raise DataError("proximity weights must be symmetric")
         object.__setattr__(self, "node_volume", _node_volumes(self.node_volume, n))
         for arr in (self.weights, self.node_strength, self.node_volume):

@@ -271,6 +271,15 @@ class TestErrorContract:
         assert code == EXIT_DATA
         assert f"manifest {manifest}: invalid JSON" in capsys.readouterr().err
 
+    def test_byte_order_mark_makes_the_header_invalid(self, tmp_path, capsys):
+        # the mark is read as part of the first header cell, not skipped
+        manifest = write_dataset(tmp_path, {"documents": "\ufeff" + DOCS_CSV})
+        code = main(["rca", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "rcaspace: error: documents.csv: invalid header "
+            "['\\ufeffcountry', 'field', 'value']: expected country,field,value\n")
+
     def test_unknown_index_kind_names_the_manifest(self, tmp_path, capsys):
         manifest = write_dataset(tmp_path, {"documents": DOCS_CSV})
         manifest.write_text(manifest.read_text().replace('"documents"', '"bogus"'))

@@ -524,13 +524,13 @@ def _assert_same(result, expected):
 
 
 class TestBlockReader:
-    """The block-columnar long reader against the per-row core it falls back to."""
+    """The columnar byte reader against the per-row core it falls back to."""
 
-    def check(self, text, block_rows, accept=False):
-        """``text`` in a file parses as the per-row reader reads it, and the blocks
-        decline only what that reader rejects (nothing, if ``accept``); returns
-        the per-row reader's result."""
-        with mock.patch.object(ingest, "BLOCK_ROWS", block_rows), \
+    def check(self, text, block_bytes, accept=False):
+        """``text`` in a file parses as the per-row reader reads it, and the byte
+        reader declines only what that reader rejects (nothing, if ``accept``);
+        returns the per-row reader's result."""
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes), \
                 tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "t.csv"
             path.write_bytes(text.encode("utf-8"))
@@ -538,20 +538,20 @@ class TestBlockReader:
             with open(path, encoding="utf-8", newline="") as stream:
                 expected = _table_or_error(
                     lambda: ingest._table_per_row(stream, IndexKind.DOCUMENTS))
-                stream.seek(0)
-                blocks = ingest._long_table_in_blocks(csv.reader(stream), IndexKind.DOCUMENTS)
+            with open(path, "rb") as stream:
+                blocks = ingest._table_in_byte_blocks(stream, IndexKind.DOCUMENTS)
         _assert_same(result, expected)
         assert blocks is not None or not accept
         if blocks is not None:
             _assert_same(blocks, expected)
-        else:  # the blocks decline only what the per-row reader rejects
+        else:  # the byte reader declines only what the per-row reader rejects
             assert isinstance(expected, str), expected
         return expected
 
     @settings(max_examples=300, deadline=None)
-    @given(long_csv_texts(), st.sampled_from([1, 2, 3, 5, ingest.BLOCK_ROWS]))
-    def test_matches_per_row_core(self, text, block_rows):
-        self.check(text, block_rows)
+    @given(long_csv_texts(), st.sampled_from([1, 2, 3, 5, 64, ingest.BLOCK_BYTES]))
+    def test_matches_per_row_core(self, text, block_bytes):
+        self.check(text, block_bytes)
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -570,57 +570,133 @@ class TestBlockReader:
              "duplicate cell (P\u00e9rou, Mth) at line 4 (first at line 2)"),
             ("country,field,value\n", "no data rows"),
             ("\n \n", "empty file: missing country,field,value header"),
+            ("country,field,value\nA,Mth,1\n , ,5\n", "empty country name at line 3"),
+            ("country,field,value\nBad\rRow,Mth,1\n", "expected 3 columns, got 1 at line 2"),
+            ("country,field,value\nA,Mth,1\nB, ,2\n", "empty field name at line 3"),
         ],
         ids=["bad-value-before-csv-error", "csv-error-before-bad-value", "error-in-later-block",
              "infinite-in-later-block", "duplicate-across-blocks", "nfd-duplicate-across-blocks",
-             "header-only", "blank-file"],
+             "header-only", "blank-file", "blank-names-with-a-value", "bare-carriage-return",
+             "blank-field-name"],
     )
     def test_errors_name_first_bad_line(self, text, expected):
-        assert self.check(text, block_rows=2) == expected
+        assert self.check(text, block_bytes=16) == expected
 
     @pytest.mark.parametrize("blank_row", ["", ",,"])
     def test_merges_and_skips_across_blocks(self, blank_row):
         text = (f"country,field,value\nB,Mth,1\n{blank_row}\nP\u00e9rou,Mth,-0\n\n"
                 "Z,Chm,2\nPe\u0301rou ,Chm,1_000\n")
-        table = self.check(text, block_rows=2)
+        table = self.check(text, block_bytes=16)
         assert table.countries == ("B", "P\u00e9rou", "Z")
         assert table.fields == ("Mth", "Chm")
         assert table.values.tolist() == [[1.0, 0.0], [-0.0, 1000.0], [0.0, 2.0]]
         assert np.signbit(table.values[1, 0])
-        with mock.patch.object(ingest, "BLOCK_ROWS", 2):
-            blocks = ingest._long_table_in_blocks(csv.reader(io.StringIO(text)),
-                                                  IndexKind.DOCUMENTS)
+        with mock.patch.object(ingest, "BLOCK_BYTES", 16):
+            blocks = ingest._table_in_byte_blocks(io.BytesIO(text.encode()), IndexKind.DOCUMENTS)
         # blank lines and rows of blank cells are dropped in the blocks
         assert blocks is not None
 
-
-    @pytest.mark.parametrize("block_rows", [5, 512])
+    @pytest.mark.parametrize("block_bytes", [5, 512])
     @pytest.mark.parametrize("line, row, columns", [(601, "C29,F19,1,9", 4), (650, "C32,F8", 2)],
                              ids=["four-columns", "two-columns"])
-    def test_wrong_column_count_in_a_later_block(self, block_rows, line, row, columns):
+    def test_wrong_column_count_in_a_later_block(self, block_bytes, line, row, columns):
         rows = [f"C{r // 20},F{r % 20},1" for r in range(700)]
         rows[line - 2] = row  # the header is line 1
         text = "country,field,value\n" + "\n".join(rows) + "\n"
         expected = f"expected 3 columns, got {columns} at line {line}"
-        assert self.check(text, block_rows) == expected
+        assert self.check(text, block_bytes) == expected
 
-    @pytest.mark.parametrize("block_rows", [5, 512])
-    def test_blank_lines_inside_a_block(self, block_rows):
+    @pytest.mark.parametrize("block_bytes", [5, 512])
+    def test_blank_lines_inside_a_block(self, block_bytes):
         text = "country,field,value\nA,Mth,1\nB,Mth,2\n\n\nA,Chm,3\n\nB,Chm,4\n"
-        table = self.check(text, block_rows, accept=True)
+        table = self.check(text, block_bytes, accept=True)
         assert table.values.tolist() == [[1.0, 3.0], [2.0, 4.0]]
 
-    @pytest.mark.parametrize("block_rows", [5, 512])
-    def test_name_first_seen_in_the_third_block(self, block_rows):
+    @pytest.mark.parametrize("block_bytes", [5, 512])
+    def test_name_first_seen_in_the_third_block(self, block_bytes):
         # k countries and k fields, every name in the first k rows, so the
         # second block knows all its names and the third brings a new one
-        k = math.isqrt(2 * block_rows) + 1
+        # (rows of 9 to 10 bytes put row 2 * block_bytes // 8 in the third)
+        k = math.isqrt(block_bytes // 2) + 2
         rows = [[f"C{r % k}", f"F{(r // k + r) % k}", "1"] for r in range(k * k)]
-        rows[2 * block_rows + 1][0] = "Zed"
+        rows[max(k, 2 * block_bytes // 8)][0] = "Zed"
         text = "country,field,value\n" + "".join(",".join(row) + "\n" for row in rows)
-        table = self.check(text, block_rows, accept=True)
+        table = self.check(text, block_bytes, accept=True)
         assert table.countries == tuple(f"C{c}" for c in range(k)) + ("Zed",)
         assert table.values.sum() == k * k
+
+    @pytest.mark.parametrize("block_bytes", [22, 24, 25])
+    def test_quoted_newline_across_a_block_cut(self, block_bytes):
+        # the first read ends inside "New\nZealand" (header: bytes 0-19),
+        # before, at and after its newline
+        text = 'country,field,value\n"New\nZealand",Mth,1\nB,"M\nth",2\n'
+        table = self.check(text, block_bytes, accept=True)
+        assert table.countries == ("New\nZealand", "B")
+        assert table.fields == ("Mth", "M\nth")
+
+    @pytest.mark.parametrize("size, declined", [(512, False), (513, True)])
+    def test_field_over_max_is_read_per_row(self, size, declined):
+        name = '"' + "x" * (size - 2) + '"'  # quotes count
+        text = f"country,field,value\n{name},Mth,1\nB,Mth,2\n"
+        assert parse(text).countries == ("x" * (size - 2), "B")
+        blocks = ingest._table_in_byte_blocks(io.BytesIO(text.encode()), IndexKind.DOCUMENTS)
+        assert (blocks is None) == declined
+
+    @pytest.mark.parametrize("quoted", [csv.QUOTE_ALL, csv.QUOTE_NONNUMERIC])
+    def test_quoted_header_takes_the_fast_path(self, quoted):
+        # as csv.writer and R's write.csv quote a header, with a quoted blank row
+        text = io.StringIO()
+        csv.writer(text, quoting=quoted).writerows(
+            [("country", "field", "value"), ("A", "Mth", 1), (" ", "", ""), ("B", "x,y", 2.5)])
+        table = self.check(text.getvalue(), ingest.BLOCK_BYTES, accept=True)
+        assert table.fields == ("Mth", "x,y")
+
+    def test_fingerprint_collisions_are_caught(self):
+        # fingerprints made of the first 5 bytes alone: the two countries
+        # collide, and only the word-by-word check keeps them apart, so the
+        # reader must decline rather than merge them
+        text = "country,field,value\nLong name here,Mth,1\nLong nameX,Chm,2\n"
+        multipliers = np.zeros_like(ingest._MULTIPLIERS)
+        multipliers[0] = 1 << ingest._SPAN_BITS
+        with mock.patch.object(ingest, "_MULTIPLIERS", multipliers):
+            assert ingest._table_in_byte_blocks(io.BytesIO(text.encode()),
+                                                IndexKind.DOCUMENTS) is None
+            assert parse(text).countries == ("Long name here", "Long nameX")
+
+    @pytest.mark.parametrize("row, country", [('"a"b"",Mth,1', 'ab""'), ('"a" ,Mth,1', "a"),
+                                              ('a"b,Mth,1', 'a"b')])
+    def test_irregular_quotes_are_read_per_row(self, row, country):
+        # the csv module reads these quotes leniently; the byte reader declines
+        text = f"country,field,value\n{row}\nB,Mth,2\n"
+        assert ingest._table_in_byte_blocks(io.BytesIO(text.encode()), IndexKind.DOCUMENTS) is None
+        assert parse(text).countries == (country, "B")
+
+    def test_float_spellings_on_the_fast_path(self):
+        # values are read by Python's float: underscores between digits, and
+        # whitespace around the number
+        text = "country,field,value\nA,Mth,1_0\nB,Mth, 7 \n"
+        with mock.patch.object(ingest, "_table_per_row", side_effect=AssertionError):
+            assert parse(text).values.tolist() == [[10.0], [7.0]]
+
+    def test_large_table_takes_the_fast_path(self):
+        # 2,000 rows in 3 blocks, with quoted, comma and NFD names and \r\n
+        # line ends: parsed without the per-row reader
+        countries = ["A", "Korea, South", 'The "Quoted" Republic', "Pe\u0301rou", "Z"] * 8
+        fields = [f"F{j}" for j in range(50)]
+        lines = ["country,field,value"] + [
+            f"{_csv_cell(c + str(i), False)},{f},{i * 50 + j}"
+            for i, c in enumerate(countries) for j, f in enumerate(fields)]
+        text = "\r\n".join(lines) + "\r\n"
+        expected = self.check(text, 1 << 14, accept=True)
+        assert len(text.encode()) > 2 << 14
+        with mock.patch.object(ingest, "BLOCK_BYTES", 1 << 14), \
+                mock.patch.object(ingest, "_table_per_row", side_effect=AssertionError), \
+                tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "t.csv"
+            path.write_bytes(text.encode("utf-8"))
+            _assert_same(parse_production_csv(path, IndexKind.DOCUMENTS), expected)
+        assert expected.countries[3] == "P\u00e9rou3"
+        assert expected.values.shape == (40, 50)
 
 
 class TestSourceKinds:

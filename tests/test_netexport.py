@@ -300,6 +300,12 @@ class TestBackboneReference:
         with pytest.raises(DataError, match="proximity weights must be symmetric"):
             net_from(weights, names)
 
+    def test_signed_zero_pair_rejected(self):
+        # -0.0 == 0.0, but the proximity CSV would write whichever sign sits in
+        # its upper triangle
+        with pytest.raises(DataError, match="proximity weights must be symmetric"):
+            net_from(np.array([[1.0, -0.0], [0.0, 1.0]]), ["a", "b"])
+
     @pytest.mark.parametrize("n", [3, _SMALL_N + 1])
     def test_duplicate_node_names_rejected(self, n):
         # on either listing path a repeated name would yield an (A, A) edge
