@@ -16,6 +16,7 @@ the only one that writes error messages.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import enum
 import functools
@@ -183,7 +184,9 @@ def _is_blank(row: list[str]) -> bool:
 def _table_per_row(stream: IO[str], index_kind: IndexKind) -> ProductionTable:
     """The long table read one row at a time; every error names its file line.
 
-    Row and column orders follow first appearance; absent cells become zeros.
+    ``stream`` is a text wrapper of a binary file, whose bytes are read
+    again to find the line of bad UTF-8.  Row and column orders follow first
+    appearance; absent cells become zeros.
     """
     normalize = functools.lru_cache(maxsize=None)(normalize_name)  # once per spelling
     countries: dict[str, int] = {}
@@ -220,13 +223,35 @@ def _table_per_row(stream: IO[str], index_kind: IndexKind) -> ProductionTable:
     except csv.Error as exc:
         raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:  # the file is decoded as it is read
-        raise DataError(f"input is not valid UTF-8: {exc}") from None
+        line = _bad_utf8_line(stream.buffer)
+        raise DataError(f"input is not valid UTF-8 ({exc.reason}) at line {line}") from None
 
     if not values:
         raise DataError("no data rows")
     matrix = np.zeros((len(countries), len(fields)))
     matrix[tuple(zip(*first_line))] = values
     return _owned(ProductionTable, index_kind, tuple(countries), tuple(fields), matrix)
+
+
+def _bad_utf8_line(raw: IO[bytes]) -> int:
+    """The line of the first byte of ``raw`` that is not UTF-8, counted as
+    ``csv`` counts lines: each ``\\n``, ``\\r\\n`` or bare ``\\r`` ends one."""
+    raw.seek(0)
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    line, tail = 1, b""
+    for block in iter(functools.partial(raw.read, BLOCK_BYTES), b""):
+        held = len(decoder.getstate()[0])  # an unfinished character's bytes: no line end
+        try:
+            decoder.decode(block)
+        except UnicodeDecodeError as exc:  # exc.start counts the held bytes too
+            return line + _line_ends(tail + block[:max(exc.start - held, 0)]) - _line_ends(tail)
+        line += _line_ends(tail + block) - _line_ends(tail)  # a \r\n across blocks ends one line
+        tail = block[-1:]
+    return line  # the file ends inside a character
+
+
+def _line_ends(data: bytes) -> int:
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
 
 
 def _parse_value(text: str, line: int) -> float:
@@ -477,7 +502,8 @@ def _table_in_byte_blocks(stream: IO[bytes], index_kind: IndexKind) -> Productio
         return None
     if not n_rows or np.count_nonzero(seen) != n_rows:  # none, or a duplicate cell
         return None
-    matrix = np.ascontiguousarray(matrix[:len(countries), :len(fields)])
+    if matrix.shape != (len(countries), len(fields)):  # a copy: the capacity is freed
+        matrix = matrix[:len(countries), :len(fields)].copy()
     return _owned(ProductionTable, index_kind, tuple(countries), tuple(fields), matrix)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DataError
 from .ingest import _csv_head, _FloatMemo, _joined, _owned
-from .proximity import ProximityNetwork
+from .proximity import ProximityNetwork, _row_blocks
 
 FORMATS = ("dot", "graphml", "json", "csv", "svg")
 
@@ -94,6 +94,11 @@ def _union(parent: list[int], a: Sequence[int], b: Sequence[int]) -> list[int]:
     return joined
 
 
+#: Pairs per chunk of :func:`spanning_forest`'s cut and filter (about 280
+#: KiB of temporaries).
+_CHUNK_PAIRS = 1 << 14
+
+
 def spanning_forest(n_nodes: int, a: Sequence[int], b: Sequence[int],
                     key: Sequence[float]) -> list[int]:
     """Kruskal over the node-index pairs (a[k], b[k]), taken by ascending key[k], then k.
@@ -107,17 +112,20 @@ def spanning_forest(n_nodes: int, a: Sequence[int], b: Sequence[int],
     in each later one, plus every pair tied with the cut; it sorts and unites
     them, then drops every remaining pair whose ends share a tree.  So each
     round joins at least one pair, and the loop ends when no pair is left.
+    The cut and the filter go over the pairs a chunk at a time, so no round
+    copies every key or every end.
     """
     a, b = np.asarray(a, dtype=np.int32), np.asarray(b, dtype=np.int32)
     key = np.asarray(key)
     alive = np.ones(len(key), dtype=bool)  # the pairs not yet dropped
+    chunks = [slice(i, i + _CHUNK_PAIRS) for i in range(0, len(key), _CHUNK_PAIRS)]
     parent = list(range(n_nodes))
     joined: list[int] = []
     size = n_nodes
     while count := np.count_nonzero(alive):
         block = alive
         if count > size:  # the lowest keys, with every key tied with the cut
-            block = alive & (key <= np.partition(key[alive], size - 1)[size - 1])
+            block = alive & (key <= _lowest_live_key(key, alive, chunks, size))
         block = np.flatnonzero(block)
         block = block[np.argsort(key.take(block), kind="stable")]
         joined += block[_union(parent, a.take(block).tolist(), b.take(block).tolist())].tolist()
@@ -125,10 +133,24 @@ def spanning_forest(n_nodes: int, a: Sequence[int], b: Sequence[int],
         while not np.array_equal(roots, roots[roots]):
             roots = roots[roots]
         parent = roots.tolist()
-        # the block's pairs now share a tree, so this drops them too
-        alive &= roots.take(a) != roots.take(b)
+        for c in chunks:  # the block's pairs now share a tree, so this drops them too
+            alive[c] &= roots.take(a[c]) != roots.take(b[c])
         size *= 2
     return joined
+
+
+def _lowest_live_key(key: np.ndarray, alive: np.ndarray, chunks: list[slice],
+                     size: int) -> float:
+    """The ``size``-th lowest key of the live pairs, of which there are more
+    than ``size``.  The ``size`` lowest are kept as each chunk's live keys come
+    in, so at most ``size`` keys and a chunk's are held at a time."""
+    lows = key[:0]
+    for c in chunks:
+        lows = np.concatenate([lows, key[c][alive[c]]])
+        if lows.size > size:
+            lows.partition(size - 1)
+            lows = lows[:size]
+    return lows.max()
 
 
 def _backbone_in_python(nodes: tuple[str, ...], weights: np.ndarray,
@@ -152,20 +174,34 @@ def _backbone_in_numpy(nodes: tuple[str, ...], weights: np.ndarray,
                        threshold: float) -> list[Edge]:
     n = len(nodes)
     order = sorted(range(n), key=nodes.__getitem__)  # rank -> node index
-    by_rank = weights[np.ix_(order, order)]
-    # the edges' keys p * n + q over the ranks p < q, ascending: in name-pair order
-    keys = np.flatnonzero(~np.tri(n, dtype=bool) & (by_rank > 0.0))
-    neg = np.take(by_rank, keys)
-    del by_rank
+    at = np.array(order)
+    # weights are symmetric, so each positive pair off the diagonal counts twice
+    pairs = (np.count_nonzero(weights > 0.0) - np.count_nonzero(weights.diagonal() > 0.0)) // 2
+    low, high = np.empty(pairs, dtype=np.int32), np.empty(pairs, dtype=np.int32)  # half of intp
+    neg = np.empty(pairs)
+    end = 0
+    for rows in _row_blocks(n):
+        # the weights of ranks p in rows to ranks q > rows.start; row r is rank
+        # rows.start + r, column j rank rows.start + 1 + j
+        by_rank = weights.take(at[rows], axis=0).take(at[rows.start + 1:], axis=1)
+        upper = by_rank > 0.0
+        head = upper[:, :len(upper)]
+        head[...] = np.triu(head)  # q > p: row r keeps its columns j >= r
+        keys = np.flatnonzero(upper)  # r * width + j, ascending: in name-pair order
+        start, end = end, end + keys.size
+        np.take(by_rank, keys, out=neg[start:end])
+        np.divmod(keys, upper.shape[1], out=(low[start:end], high[start:end]))
+        low[start:end] += rows.start
+        high[start:end] += rows.start + 1
     np.negative(neg, out=neg)  # minus the weights, then the position: Kruskal order
-    low, high = (keys // n).astype(np.int32), (keys % n).astype(np.int32)  # half of intp
-    del keys
     tree = spanning_forest(n, low, high, neg)
     kept = neg <= -threshold  # weight >= threshold: negation is exact
     kept[tree] = True
+    low, high, neg = low[kept], high[kept], neg[kept]  # the pair list is freed
+    del kept
     names = [nodes[k] for k in order]
-    return [(names[p], names[q], -v)
-            for p, q, v in zip(low[kept].tolist(), high[kept].tolist(), neg[kept].tolist())]
+    return list(zip(map(names.__getitem__, low.tolist()), map(names.__getitem__, high.tolist()),
+                    np.negative(neg, out=neg).tolist()))
 
 
 def backbone(net: ProximityNetwork, threshold: float = DEFAULT_THRESHOLD) -> list[Edge]:

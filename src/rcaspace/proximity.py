@@ -80,21 +80,47 @@ def _node_volumes(values, n: int) -> np.ndarray:
 def co_occurrence(adv: AdvantageMatrix, mode: str = "fields") -> np.ndarray:
     """Symmetric integer co-advantage counts; the diagonal equals Ubi or Div.
 
-    The product runs in float64, where BLAS does it, and is cast back to
-    int64: every count is at most the number of countries or fields, far
-    below 2**53, so the float64 sums are exact.
+    The counts are computed exactly in float64, where BLAS does the product,
+    and cast to int64.  The proximity networks divide that float64 product
+    in place instead, so they hold no int64 copy.
     """
     if mode not in MODES:
         raise DataError(f"unknown proximity mode {mode!r}")
+    return _product(adv, mode).astype(np.int64)
+
+
+def _product(adv: AdvantageMatrix, mode: str) -> np.ndarray:
+    """The co-advantage counts as float64, where BLAS computes them: every
+    count is at most the number of countries or fields, far below 2**53, so
+    the float64 sums are exact."""
     m = adv.m.astype(np.float64)
-    return (m.T @ m if mode == "fields" else m @ m.T).astype(np.int64)
+    return m.T @ m if mode == "fields" else m @ m.T
+
+
+#: Cells per block of rows in the n x n stages (128 KiB of float64), so that
+#: a block's temporaries are a small part of a weight matrix.
+_BLOCK_CELLS = 1 << 14
+
+
+def _row_blocks(n: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(n)``, each of about ``_BLOCK_CELLS // n`` rows."""
+    step = max(1, _BLOCK_CELLS // max(n, 1))
+    return (slice(i, i + step) for i in range(0, n, step))
 
 
 def _min_conditional_weights(co: np.ndarray) -> np.ndarray:
-    # a zero total divides as 1: its pairs have co-occurrence 0, so weight 0
-    totals = np.maximum(co.diagonal(), 1.0)  # float64, as the weights
-    weights = np.maximum.outer(totals, totals)
-    return np.divide(co, weights, out=weights)  # in place: no third n x n array
+    """The float64 counts ``co``, divided in place by the larger of each
+    pair's two totals, one block of rows at a time.
+
+    A zero total divides as 1: its pairs have co-occurrence 0, so weight 0.
+    The division of exact counts is the one of ``co / np.maximum.outer``, bit
+    for bit, and no second n x n array is made.
+    """
+    totals = np.maximum(co.diagonal(), 1.0)  # a copy: the diagonal is divided too
+    for rows in _row_blocks(len(totals)):
+        block = co[rows]
+        np.divide(block, np.maximum(totals[rows, None], totals), out=block)
+    return co
 
 
 def _network(mode: str, nodes: tuple[str, ...], co: np.ndarray, volumes) -> ProximityNetwork:
@@ -113,26 +139,31 @@ def field_proximity(adv: AdvantageMatrix, volumes=None) -> ProximityNetwork:
     exports); when omitted all volumes are zero and nodes render at the
     minimum radius.
     """
-    return _network("fields", adv.fields, co_occurrence(adv, "fields"), volumes)
+    return _network("fields", adv.fields, _product(adv, "fields"), volumes)
 
 
 def country_proximity(adv: AdvantageMatrix, volumes=None) -> ProximityNetwork:
     """Proximity network between countries (transpose-dual of field_proximity)."""
-    return _network("countries", adv.countries, co_occurrence(adv, "countries"), volumes)
+    return _network("countries", adv.countries, _product(adv, "countries"), volumes)
 
 
 def proximity_csv_chunks(net: ProximityNetwork) -> Iterator[str]:
     """The text of :func:`proximity_csv_text`, a group of rows at a time."""
     order = sorted(range(len(net.nodes)), key=net.nodes.__getitem__)
     heads = [_csv_head(net.nodes[i]) for i in order]
-    by_name = net.weights[np.ix_(order, order)]
+    at = np.array(order)
     weight = _FloatMemo(float.__repr__)
     n = len(heads)
     step = max(1, BLOCK_ROWS // max(n - 1, 1))  # rows of at most n - 1 lines
-    return _long_csv_chunks("node_a,node_b,weight", (
-        [(heads[k], map(add, heads[k + 1:], map(weight.__getitem__, by_name[k, k + 1:].tolist())))
-         for k in range(i, min(i + step, n - 1))]
-        for i in range(0, n - 1, step)))
+
+    def rows(i: int) -> list:
+        # the weights of ranks i to i + step to the ranks after i, in name order
+        by_name = net.weights.take(at[i:i + step], axis=0).take(at[i + 1:], axis=1)
+        return [(heads[k], map(add, heads[k + 1:],
+                               map(weight.__getitem__, by_name[k - i, k - i:].tolist())))
+                for k in range(i, min(i + step, n - 1))]
+
+    return _long_csv_chunks("node_a,node_b,weight", map(rows, range(0, n - 1, step)))
 
 
 def proximity_csv_text(net: ProximityNetwork) -> str:

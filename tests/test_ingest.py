@@ -699,6 +699,48 @@ class TestBlockReader:
         assert expected.values.shape == (40, 50)
 
 
+    def test_grown_table_owns_its_values(self):
+        # 40 countries over 16-byte blocks: the matrix grows to 64 rows, and
+        # the table keeps a copy of its 40, not a view of the 64
+        text = "country,field,value\n" + "".join(f"C{r:02d},Mth,{r}\n" for r in range(40))
+        with mock.patch.object(ingest, "BLOCK_BYTES", 16):
+            table = ingest._table_in_byte_blocks(io.BytesIO(text.encode()), IndexKind.DOCUMENTS)
+        assert table.values.shape == (40, 1)
+        assert table.values.base is None
+        assert table.values[:, 0].tolist() == list(range(40))
+
+
+class TestBadUtf8:
+    """Bad UTF-8 is named by the line of its first bad byte, counted as csv counts lines."""
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_late_bad_byte_names_its_line(self, tmp_path, end):
+        # 20,001 lines with \xff at line 15,002: far past the text decoder's
+        # first chunk and the byte reader's first block
+        rows = [b"country,field,value"] + [f"C{r // 40},F{r % 40},1".encode() for r in range(20000)]
+        rows[15001] = b"C\xff" + rows[15001][1:]
+        path = tmp_path / "t.csv"
+        path.write_bytes(end.encode().join(rows) + end.encode())
+        with pytest.raises(DataError) as raised:
+            parse_production_csv(path, IndexKind.DOCUMENTS)
+        assert str(raised.value) == "input is not valid UTF-8 (invalid start byte) at line 15002"
+
+    @pytest.mark.parametrize("data, line", [
+        (b'country,field,value\r\n"A\nB",Mth,1\r\rP\xc3\xa9rou,Chm,1\r\nX\xc3\xc3,Mth,2\r\n', 6),
+        (b"country,field,value\r\nA,Mth,1\r\n\xe2\x82(,Mth,1\r\n", 3),
+        (b"country,field,value\nA,Mth,1\nA\xc3", 3),
+        (b"country,field,value\nA\xf0\x9f\x98\x80\xff\nB,Mth,1\n", 2),
+    ], ids=["quoted-newline-and-bare-cr", "bad-continuation", "ends-inside-a-character",
+            "bad-byte-after-a-cut-character"])
+    def test_line_is_counted_across_block_cuts(self, tmp_path, data, line):
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        for block_bytes in range(1, len(data) + 1):
+            with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes), \
+                    pytest.raises(DataError, match=f"^input is not valid UTF-8 .* at line {line}$"):
+                parse_production_csv(path, IndexKind.DOCUMENTS)
+
+
 class TestSourceKinds:
     """The one kind of source, a path, ends a row at a bare carriage return."""
 

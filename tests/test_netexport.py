@@ -1,3 +1,4 @@
+import collections
 import csv
 import dataclasses
 import io
@@ -6,10 +7,11 @@ import json
 import math
 import tracemalloc
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rcaspace import (
@@ -22,10 +24,10 @@ from rcaspace import (
     emit,
     size_nodes,
 )
-from rcaspace import cli, netexport
+from rcaspace import cli, netexport, proximity
 from rcaspace.demo import write_demo_dataset
 from rcaspace.netexport import PYTHON_LISTING_MAX_PAIRS
-from rcaspace.proximity import MODES, proximity_csv_text
+from rcaspace.proximity import MODES, proximity_csv_chunks, proximity_csv_text
 
 from .oracles import reference_backbone
 
@@ -314,6 +316,92 @@ class TestBackboneReference:
             net_from(np.full((n, n), 0.5), names)
 
 
+@st.composite
+def grouped_pairs(draw):
+    """(n, a, b, key): the node pairs inside each of up to 4 groups of 2-60
+    nodes, each kept with probability 0.3 or 1, shuffled, ends swapped at
+    random.  A pair's key is the larger of its nodes' values, drawn in 0-3
+    (ties are many) or 0-10**6: the lowest keys gather on a few nodes, as
+    in a min-conditional network, so Filter-Kruskal takes up to 5 rounds."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 60))
+    groups = rng.integers(0, draw(st.integers(1, 4)), n)
+    density = draw(st.sampled_from([0.3, 1.0]))
+    a, b = np.nonzero(np.triu(groups[:, None] == groups, 1) & (rng.random((n, n)) < density))
+    order = rng.permutation(a.size)
+    swap = rng.random(a.size) < 0.5
+    a, b = np.where(swap, b[order], a[order]), np.where(swap, a[order], b[order])
+    value = rng.integers(0, draw(st.sampled_from([4, 10**6])), n)
+    return n, a.tolist(), b.tolist(), np.maximum(value[a], value[b]).tolist()
+
+
+class TestChunkBoundaries:
+    """The n^2 stages with their row blocks and Filter-Kruskal's chunks made
+    1 to 7 rows or pairs long, so that every round and block crosses them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(grouped_pairs(), st.integers(1, 7))
+    def test_spanning_forest_is_kruskal_in_key_order(self, pairs, chunk):
+        n, a, b, key = pairs
+        order = sorted(range(len(key)), key=lambda k: (key[k], k))
+        real_union = netexport._union
+        expected = [order[k] for k in real_union(
+            list(range(n)), [a[k] for k in order], [b[k] for k in order])]
+
+        def forest_and_rounds(chunk):
+            rounds = []
+
+            def union(parent, ends_a, ends_b):
+                joined = real_union(parent, ends_a, ends_b)
+                rounds.append((ends_a, ends_b, len(joined)))
+                return joined
+
+            with mock.patch.object(netexport, "_CHUNK_PAIRS", chunk), \
+                    mock.patch.object(netexport, "_union", union):
+                return netexport.spanning_forest(n, a, b, key), rounds
+
+        forest, rounds = forest_and_rounds(chunk)
+        assert forest == expected
+        assert all(joins for _, _, joins in rounds)  # every round joins a pair
+        # each round's cut is the one a single chunk finds: the same rounds
+        assert rounds == forest_and_rounds(len(key) + 1)[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=2, max_size=60),
+           st.integers(1, 7), st.data())
+    def test_cut_is_the_lowest_live_keys_last(self, pairs, chunk, data):
+        key = np.array([k for k, _ in pairs], dtype=float)
+        alive = np.array([live for _, live in pairs])
+        assume(np.count_nonzero(alive) >= 2)
+        size = data.draw(st.integers(1, np.count_nonzero(alive) - 1))
+        chunks = [slice(i, i + chunk) for i in range(0, len(key), chunk)]
+        expected = np.sort(key[alive])[size - 1]
+        assert netexport._lowest_live_key(key, alive, chunks, size) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(numpy_listing_networks(), st.integers(1, 7), st.integers(1, 7),
+           st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    def test_numpy_listing_equals_python_listing(self, net, rows, chunk, threshold):
+        # names in name order or shuffled, as numpy_listing_networks draws them
+        expected = netexport._backbone_in_python(net.nodes, net.weights, threshold)
+        with mock.patch.object(proximity, "_BLOCK_CELLS", rows * len(net.nodes)), \
+                mock.patch.object(netexport, "_CHUNK_PAIRS", chunk):
+            assert netexport._backbone_in_numpy(net.nodes, net.weights, threshold) == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 7), st.integers(0, 2**32 - 1))
+    def test_weights_divide_by_blocks_of_rows_bit_for_bit(self, n, rows, seed):
+        rng = np.random.default_rng(seed)
+        adv = AdvantageMatrix(tuple(f"C{k}" for k in range(n)), ("F0", "F1", "F2", "F3"),
+                              rng.random((n, 4)) < 0.5)
+        co = proximity.co_occurrence(adv, "countries")
+        totals = np.maximum(co.diagonal(), 1).astype(float)
+        expected = co / np.maximum.outer(totals, totals)
+        with mock.patch.object(proximity, "_BLOCK_CELLS", rows * n):
+            weights = country_proximity(adv).weights
+        assert np.array_equal(weights.view(np.int64), expected.view(np.int64))
+
+
 class TestSymmetryContract:
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(quarter_networks(), numpy_listing_networks()))
@@ -358,6 +446,26 @@ def test_n_squared_stages_peak_memory(shuffled):
     assert peak < N_SQUARED_PEAK_BOUND * net.weights.nbytes, "country_proximity"
     peak, _ = _traced_peak(backbone, net)
     assert peak < N_SQUARED_PEAK_BOUND * net.weights.nbytes, "backbone"
+
+
+#: Peak memory of each n^2 stage at 400 nodes, in weight matrices: measured
+#: 1.24 for ``country_proximity`` (the weights it returns and a float64 copy
+#: of the advantage matrix), 1.34 for ``backbone`` (its pair list, about one
+#: matrix, and the temporaries of one row block or pair chunk) and 0.10 for
+#: streaming the proximity CSV, which must stay under half a matrix.  Another
+#: n^2 array, or a stage's block grown to a third of a matrix, exceeds the
+#: bound.
+ONE_MATRIX_STAGE_BOUND = 1.5
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["name-order", "shuffled"])
+def test_n_squared_stages_hold_one_matrix(shuffled):
+    peak, net = _traced_peak(country_proximity, seeded_advantage(400, shuffled))
+    assert peak < ONE_MATRIX_STAGE_BOUND * net.weights.nbytes, "country_proximity"
+    peak, _ = _traced_peak(backbone, net)
+    assert peak < ONE_MATRIX_STAGE_BOUND * net.weights.nbytes, "backbone"
+    peak, _ = _traced_peak(lambda: collections.deque(proximity_csv_chunks(net), 0))
+    assert peak < 0.5 * net.weights.nbytes, "proximity_csv_chunks"
 
 
 class TestOrderAndSize:
