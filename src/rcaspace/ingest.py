@@ -270,8 +270,14 @@ def _parse_value(text: str, line: int) -> float:
 BLOCK_ROWS = 512
 
 #: Bytes the byte reader reads per block.  A block holds whole lines; the
-#: unfinished line at its end is carried into the next.
-BLOCK_BYTES = 1 << 16
+#: unfinished line at its end is carried into the next.  Each block pays a
+#: fixed cost of numpy calls and dictionary merges and holds temporaries that
+#: grow with it: 256 KiB pays that cost a quarter as often as 64 KiB, and
+#: larger blocks parse no faster but hold more.
+BLOCK_BYTES = 1 << 18
+#: Bytes of a block searched for separators at once, so that the bools of
+#: the search stay this size whatever the block's.
+_STRIP = 1 << 16
 #: The longest field the byte reader takes, in bytes, quotes included (far
 #: under the csv module's field limit).  A longer field, or a line longer
 #: than four of them, sends the file to the per-row reader.
@@ -280,8 +286,10 @@ _MAX_FIELD = 512
 #: fingerprint; odd, so that fields of up to 8 bytes never collide.
 _MULTIPLIERS = np.array([pow(0x9E3779B97F4A7C15, k + 1, 1 << 64) for k in range(_MAX_FIELD // 8)],
                         dtype=np.uint64)
-#: Low bits of a sort key that hold a span's index in its block (a block has
-#: fewer rows); the fingerprint keeps the other 44.
+#: Low bits of a sort key that hold a span's index in its block: a data row
+#: takes at least 3 bytes, so a block's ``BLOCK_BYTES`` plus a carried line of
+#: ``4 * _MAX_FIELD`` hold fewer rows than ``1 << _SPAN_BITS``.  The
+#: fingerprint keeps the other 44.
 _SPAN_BITS = 20
 #: ``_LOW_BYTES[k]`` keeps the first ``k`` bytes of a little-endian word.
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
@@ -341,10 +349,12 @@ class _Column:
         width = max(-(-int(lengths.max(initial=0)) // 8), 1)
         if width > _MAX_FIELD // 8:
             raise ValueError("field too long")
-        offsets = np.arange(0, 8 * width, 8)[:, None]
-        grid = words[starts + offsets].view(np.uint64)  # a column per span
-        grid &= _LOW_BYTES[np.minimum(np.maximum(np.arange(8 * width + 1) - offsets, 0), 8)].take(
-            lengths, axis=1)
+        offsets = np.arange(0, 8 * width, 8)
+        masks = _LOW_BYTES[np.clip(np.arange(8 * width + 1) - offsets[:, None], 0, 8)]
+        grid = np.empty((width, lengths.size), dtype=np.uint64)  # a column per span
+        for row, offset, mask in zip(grid, offsets.tolist(), masks):  # temporaries of one row
+            row[...] = words[starts + offset].view(np.uint64)
+            row &= mask.take(lengths)
         keys = _MULTIPLIERS[:width] @ grid
         keys >>= _SPAN_BITS
         keys <<= _SPAN_BITS
@@ -364,8 +374,8 @@ class _Column:
             self._add(grid, keys[new], spans[new])
             at = self.keys.searchsorted(keys)
         at = at.take(spelling)
-        known = self.words.take(at, axis=1)  # never narrower than grid
-        if not np.array_equal(known[:width], grid) or known[width:].any():
+        if width > len(self.words) or any(np.any(known.take(at) != (grid[k] if k < width else 0))
+                                          for k, known in enumerate(self.words)):
             raise ValueError("fingerprint collision")
         return self.values.take(at)
 
@@ -430,10 +440,12 @@ def _data_rows(stream: IO[bytes]) -> Iterator[tuple[np.ndarray, ...]]:
             buf[end] = 10  # the last line's newline
             end += 1
         data = np.frombuffer(buf, np.uint8, end)
-        marks = np.flatnonzero((data == 44) | (data == 10) | (data == 34))
-        quoted = data[marks] == 34
+        seps = np.concatenate([  # commas, newlines and quotes, with bools of one strip at a time
+            np.add(np.flatnonzero((part == 44) | (part == 10) | (part == 34)), at, dtype=np.int32)
+            for at in range(0, end, _STRIP) for part in [data[at:at + _STRIP]]])
+        quoted = data[seps] == 34
         quoted |= np.logical_xor.accumulate(quoted)  # a quote, or inside quotes
-        seps = marks[~quoted]
+        seps = seps[~quoted]
         newlines = np.flatnonzero(data[seps] == 10)
         if not newlines.size:  # no whole line yet
             if not read or end > 4 * _MAX_FIELD:
@@ -442,7 +454,8 @@ def _data_rows(stream: IO[bytes]) -> Iterator[tuple[np.ndarray, ...]]:
             continue
         stop = int(seps[newlines[-1]]) + 1
         lines = data[:stop]
-        if lines.min() == 0 or not np.all(lines[np.flatnonzero(lines == 13) + 1] == 10):
+        if lines.min() == 0 or buf.find(13, 0, stop) >= 0 and not np.all(  # bools only for a \r
+                lines[np.flatnonzero(lines == 13) + 1] == 10):
             raise ValueError("NUL byte or bare \\r")
         ends = seps[newlines]
         starts = np.empty_like(ends)
@@ -459,7 +472,9 @@ def _data_rows(stream: IO[bytes]) -> Iterator[tuple[np.ndarray, ...]]:
         for k in np.flatnonzero(~regular & (ends > starts)).tolist():
             _is_blank_line(lines[starts[k]:ends[k]].tobytes())
         rows = newlines[regular]
-        yield lines, words, starts[regular], seps[rows - 2], seps[rows - 1], ends[regular]
+        block = lines, words, starts[regular], seps[rows - 2], seps[rows - 1], ends[regular]
+        del quoted, seps, newlines, starts, ends, regular, rows  # freed while the block is used
+        yield block
         held = end - stop
         if held > 4 * _MAX_FIELD:
             raise ValueError("line too long")

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -548,10 +549,23 @@ class TestBlockReader:
             assert isinstance(expected, str), expected
         return expected
 
+    @staticmethod
+    def declined(text, block_bytes):
+        """``text``, which the byte reader must decline, as the per-row reader reads it."""
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
+            assert ingest._table_in_byte_blocks(io.BytesIO(text.encode()), IndexKind.DOCUMENTS) is None
+            return parse(text)
+
     @settings(max_examples=300, deadline=None)
     @given(long_csv_texts(), st.sampled_from([1, 2, 3, 5, 64, ingest.BLOCK_BYTES]))
     def test_matches_per_row_core(self, text, block_bytes):
         self.check(text, block_bytes)
+
+    @settings(max_examples=100, deadline=None)
+    @given(long_csv_texts(), st.sampled_from([1, 2, 5, 16]))
+    def test_separators_are_found_a_strip_at_a_time(self, text, strip):
+        with mock.patch.object(ingest, "_STRIP", strip):
+            self.check(text, 64)
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -663,6 +677,20 @@ class TestBlockReader:
                                                 IndexKind.DOCUMENTS) is None
             assert parse(text).countries == ("Long name here", "Long nameX")
 
+    @pytest.mark.parametrize("first, later", [("Long nam", "Long name here"),
+                                              ("Long name here", "Long nam")])
+    def test_collisions_of_other_widths_are_caught(self, first, later):
+        # the same fingerprints as above, with the two names in two blocks:
+        # the later name is wider or narrower than every spelling so far
+        text = f"country,field,value\n{first},Mth,1\n{later},Chm,2\n"
+        multipliers = np.zeros_like(ingest._MULTIPLIERS)
+        multipliers[0] = 1 << ingest._SPAN_BITS
+        with mock.patch.object(ingest, "_MULTIPLIERS", multipliers), \
+                mock.patch.object(ingest, "BLOCK_BYTES", 16):
+            assert ingest._table_in_byte_blocks(io.BytesIO(text.encode()),
+                                                IndexKind.DOCUMENTS) is None
+            assert parse(text).countries == (first, later)
+
     @pytest.mark.parametrize("row, country", [('"a"b"",Mth,1', 'ab""'), ('"a" ,Mth,1', "a"),
                                               ('a"b,Mth,1', 'a"b')])
     def test_irregular_quotes_are_read_per_row(self, row, country):
@@ -699,6 +727,59 @@ class TestBlockReader:
         assert expected.values.shape == (40, 50)
 
 
+    @pytest.mark.parametrize("block_bytes", [4096, ingest.BLOCK_BYTES])
+    def test_long_field_declines_before_its_words_are_read(self, block_bytes):
+        # a 3,000-byte name, then short rows to the block's end: the words
+        # of the last rows' names, read that wide, would run past the buffer
+        rows = ["x" * 3000 + ",Mth,1"] + [f"C{k:05d},Mth,1" for k in range(block_bytes // 13)]
+        text = "country,field,value\n" + "\n".join(rows) + "\n"
+        assert len(text) > block_bytes
+        table = self.declined(text, block_bytes)
+        assert table.countries[0] == "x" * 3000 and len(table.countries) == len(rows)
+
+    @pytest.mark.parametrize("block_bytes", [4096, ingest.BLOCK_BYTES])
+    def test_long_carried_line_declines_before_the_buffer_fills(self, block_bytes):
+        # a line of commas carried over 4 * _MAX_FIELD bytes, then rows that
+        # end where the buffer does if the carried bytes are kept: the last
+        # row's field would start within the buffer's last word
+        size = block_bytes + 5 * ingest._MAX_FIELD + 8  # the byte reader's buffer
+        rows = [f"C{k:04d},Mth,1" for k in range(100)]  # 11 bytes and a newline each
+        text = "country,field,value\n" + "," * (size - 1 - 12 * len(rows)) + "\n" + "".join(
+            row + "\n" for row in rows)
+        assert len(text) == 20 + size and size - 1 - 12 * len(rows) > block_bytes
+        table = self.declined(text, block_bytes)
+        assert table.countries == tuple(f"C{k:04d}" for k in range(100))
+
+    def test_span_index_fits_its_bits(self):
+        # a data row takes at least 3 bytes, and a block holds BLOCK_BYTES
+        # after a carried line of up to 4 * _MAX_FIELD: a span index wider
+        # than _SPAN_BITS would spill into the fingerprint, and every file of
+        # that many rows would be read per row
+        assert (ingest.BLOCK_BYTES + 4 * ingest._MAX_FIELD) // 3 < 1 << ingest._SPAN_BITS
+
+    def test_parse_peak_does_not_grow_with_the_file(self, tmp_path):
+        # one grid of 300 x 125 cells, once with its names padded so that the
+        # file is 4 times larger; every name is in the first rows, so the
+        # matrix is allocated once.  Measured: 5.4 and 2.8 BLOCK_BYTES above
+        # the values, and 3.9 for the padded file when a block's separators
+        # are searched in one pass rather than a strip at a time.
+        extra = []
+        for pad in ("", "." * 36):
+            path = tmp_path / f"pad{len(pad)}.csv"
+            path.write_text("country,field,value\n" + "".join(
+                f"Country {r % 300}{pad},Field {(r // 300 + r) % 125}{pad},{r % 97}\n"
+                for r in range(300 * 125)), encoding="utf-8")
+            assert path.stat().st_size > 3 * ingest.BLOCK_BYTES
+            tracemalloc.start()
+            try:
+                with mock.patch.object(ingest, "_table_per_row", side_effect=AssertionError):
+                    table = parse_production_csv(path, IndexKind.DOCUMENTS)
+                extra.append(tracemalloc.get_traced_memory()[1] - table.values.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert extra[0] < 6 * ingest.BLOCK_BYTES
+        assert extra[1] < 3.25 * ingest.BLOCK_BYTES  # the larger file holds less
+
     def test_grown_table_owns_its_values(self):
         # 40 countries over 16-byte blocks: the matrix grows to 64 rows, and
         # the table keeps a copy of its 40, not a view of the 64
@@ -716,7 +797,8 @@ class TestBadUtf8:
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_late_bad_byte_names_its_line(self, tmp_path, end):
         # 20,001 lines with \xff at line 15,002: far past the text decoder's
-        # first chunk and the byte reader's first block
+        # first chunk (test_fault_three_blocks_in puts one past the byte
+        # reader's third block)
         rows = [b"country,field,value"] + [f"C{r // 40},F{r % 40},1".encode() for r in range(20000)]
         rows[15001] = b"C\xff" + rows[15001][1:]
         path = tmp_path / "t.csv"
@@ -739,6 +821,25 @@ class TestBadUtf8:
             with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes), \
                     pytest.raises(DataError, match=f"^input is not valid UTF-8 .* at line {line}$"):
                 parse_production_csv(path, IndexKind.DOCUMENTS)
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda row: row[:-1] + b"-1", "negative value at line {}"),
+    (lambda row: b"C\xff" + row[1:], "input is not valid UTF-8 (invalid start byte) at line {}"),
+], ids=["negative", "bad-utf8"])
+def test_fault_three_blocks_in(tmp_path, fault, message):
+    # the first row that starts 3 byte-reader blocks in holds the fault
+    rows = [b"country,field,value"] + [f"C{r // 40},F{r % 40},1".encode()
+                                       for r in range(3 * ingest.BLOCK_BYTES // 8)]
+    starts = np.cumsum([0] + [len(row) + 1 for row in rows])  # each line's first byte
+    k = int(np.searchsorted(starts, 3 * ingest.BLOCK_BYTES))
+    rows[k] = fault(rows[k])
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"\n".join(rows) + b"\n")
+    with pytest.raises(DataError) as raised:
+        parse_production_csv(path, IndexKind.DOCUMENTS)
+    assert str(raised.value) == message.format(k + 1)
+    assert k + 1 < len(rows)
 
 
 class TestSourceKinds:
