@@ -94,11 +94,6 @@ def _union(parent: list[int], a: Sequence[int], b: Sequence[int]) -> list[int]:
     return joined
 
 
-#: Pairs per chunk of :func:`spanning_forest`'s cut and filter (about 280
-#: KiB of temporaries).
-_CHUNK_PAIRS = 1 << 14
-
-
 def spanning_forest(n_nodes: int, a: Sequence[int], b: Sequence[int],
                     key: Sequence[float]) -> list[int]:
     """Kruskal over the node-index pairs (a[k], b[k]), taken by ascending key[k], then k.
@@ -106,51 +101,12 @@ def spanning_forest(n_nodes: int, a: Sequence[int], b: Sequence[int],
     Returns the positions k of the pairs that joined two trees, in that order:
     with minus the weights as keys they form a maximum-weight spanning
     forest, and ``n_nodes - len(result)`` is the number of connected
-    components.  This is Filter-Kruskal (Osipov, Sanders and Singler, 2009),
-    which sorts only the pairs it reaches.  Each round takes the lowest-keyed
-    remaining pairs, ``n_nodes`` of them in the first round and twice as many
-    in each later one, plus every pair tied with the cut; it sorts and unites
-    them, then drops every remaining pair whose ends share a tree.  So each
-    round joins at least one pair, and the loop ends when no pair is left.
-    The cut and the filter go over the pairs a chunk at a time, so no round
-    copies every key or every end.
+    components.  The pairs are sorted once, stably, and united in that order;
+    :func:`backbone` does not list its pairs, so it runs its own rounds.
     """
-    a, b = np.asarray(a, dtype=np.int32), np.asarray(b, dtype=np.int32)
-    key = np.asarray(key)
-    alive = np.ones(len(key), dtype=bool)  # the pairs not yet dropped
-    chunks = [slice(i, i + _CHUNK_PAIRS) for i in range(0, len(key), _CHUNK_PAIRS)]
-    parent = list(range(n_nodes))
-    joined: list[int] = []
-    size = n_nodes
-    while count := np.count_nonzero(alive):
-        block = alive
-        if count > size:  # the lowest keys, with every key tied with the cut
-            block = alive & (key <= _lowest_live_key(key, alive, chunks, size))
-        block = np.flatnonzero(block)
-        block = block[np.argsort(key.take(block), kind="stable")]
-        joined += block[_union(parent, a.take(block).tolist(), b.take(block).tolist())].tolist()
-        roots = np.array(parent, dtype=np.int32)
-        while not np.array_equal(roots, roots[roots]):
-            roots = roots[roots]
-        parent = roots.tolist()
-        for c in chunks:  # the block's pairs now share a tree, so this drops them too
-            alive[c] &= roots.take(a[c]) != roots.take(b[c])
-        size *= 2
-    return joined
-
-
-def _lowest_live_key(key: np.ndarray, alive: np.ndarray, chunks: list[slice],
-                     size: int) -> float:
-    """The ``size``-th lowest key of the live pairs, of which there are more
-    than ``size``.  The ``size`` lowest are kept as each chunk's live keys come
-    in, so at most ``size`` keys and a chunk's are held at a time."""
-    lows = key[:0]
-    for c in chunks:
-        lows = np.concatenate([lows, key[c][alive[c]]])
-        if lows.size > size:
-            lows.partition(size - 1)
-            lows = lows[:size]
-    return lows.max()
+    order = np.argsort(np.asarray(key), kind="stable")
+    return order[_union(list(range(n_nodes)), np.take(a, order).tolist(),
+                        np.take(b, order).tolist())].tolist()
 
 
 def _backbone_in_python(nodes: tuple[str, ...], weights: np.ndarray,
@@ -170,38 +126,77 @@ def _backbone_in_python(nodes: tuple[str, ...], weights: np.ndarray,
                   if k in forest or -w >= threshold)
 
 
+#: No pairs: (ranks p, ranks q, weights), as :func:`_listed` gives them.
+_NO_PAIRS = (np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))
+
+
+def _listed(by_rank: np.ndarray, mask: np.ndarray, start: int) -> tuple[np.ndarray, ...]:
+    """(ranks p, ranks q, weights) of the pairs in ``mask``, in name-pair order:
+    row r of the block is rank ``start + r``, column j rank ``start + 1 + j``."""
+    keys = np.flatnonzero(mask).astype(np.int32)  # r * width + j, ascending; half of intp
+    p, q = np.divmod(keys, mask.shape[1])
+    return p + start, q + (start + 1), by_rank.take(keys)
+
+
+def _heaviest(pool: tuple[np.ndarray, ...], by_rank: np.ndarray, live: np.ndarray,
+              start: int, size: int) -> tuple[np.ndarray, ...]:
+    """The pairs of ``pool`` and the block's ``live`` pairs that are among the
+    ``size`` heaviest of them all, with every pair tied with the lightest.  The
+    cut comes from the weights alone, so the block lists at most those pairs."""
+    if pool[2].size >= size:  # no pair lighter than the pool's lightest can enter
+        live &= by_rank >= pool[2].min()
+    weights = np.concatenate([pool[2], by_rank[live]])
+    if weights.size > size:
+        weights.partition(-size)
+        live &= by_rank >= weights[-size]
+        pool = tuple(a[pool[2] >= weights[-size]] for a in pool)
+    return tuple(map(np.concatenate, zip(pool, _listed(by_rank, live, start))))
+
+
 def _backbone_in_numpy(nodes: tuple[str, ...], weights: np.ndarray,
                        threshold: float) -> list[Edge]:
     n = len(nodes)
     order = sorted(range(n), key=nodes.__getitem__)  # rank -> node index
     at = np.array(order)
-    # weights are symmetric, so each positive pair off the diagonal counts twice
-    pairs = (np.count_nonzero(weights > 0.0) - np.count_nonzero(weights.diagonal() > 0.0)) // 2
-    low, high = np.empty(pairs, dtype=np.int32), np.empty(pairs, dtype=np.int32)  # half of intp
-    neg = np.empty(pairs)
-    end = 0
-    for rows in _row_blocks(n):
-        # the weights of ranks p in rows to ranks q > rows.start; row r is rank
-        # rows.start + r, column j rank rows.start + 1 + j
-        by_rank = weights.take(at[rows], axis=0).take(at[rows.start + 1:], axis=1)
-        upper = by_rank > 0.0
-        head = upper[:, :len(upper)]
-        head[...] = np.triu(head)  # q > p: row r keeps its columns j >= r
-        keys = np.flatnonzero(upper)  # r * width + j, ascending: in name-pair order
-        start, end = end, end + keys.size
-        np.take(by_rank, keys, out=neg[start:end])
-        np.divmod(keys, upper.shape[1], out=(low[start:end], high[start:end]))
-        low[start:end] += rows.start
-        high[start:end] += rows.start + 1
-    np.negative(neg, out=neg)  # minus the weights, then the position: Kruskal order
-    tree = spanning_forest(n, low, high, neg)
-    kept = neg <= -threshold  # weight >= threshold: negation is exact
-    kept[tree] = True
-    low, high, neg = low[kept], high[kept], neg[kept]  # the pair list is freed
+    parent, roots = list(range(n)), np.arange(n)
+    upper = np.ones((0, 0), dtype=bool)  # the mask q > p of a block's first columns
+    kept = []  # the pairs >= threshold, then the joins lighter than it
+    first, size = True, n
+    while True:  # Filter-Kruskal: each round unites the heaviest live pairs
+        pool = _NO_PAIRS
+        for rows in _row_blocks(n):
+            # the weights of ranks p in rows to ranks q > rows.start
+            by_rank = weights.take(at[rows], axis=0).take(at[rows.start + 1:], axis=1)
+            live = by_rank > 0.0
+            head = live[:, :len(live)]
+            if len(upper) < len(head):
+                upper = np.triu(np.ones((len(head), len(head)), dtype=bool))
+            head &= upper[:len(head), :head.shape[1]]  # row r keeps its columns j >= r
+            if first:  # the first round lists the threshold edges
+                kept.append(_listed(by_rank, live & (by_rank >= threshold), rows.start))
+            live &= roots[rows, None] != roots[rows.start + 1:]  # ends in two trees
+            pool = _heaviest(pool, by_rank, live, rows.start, size)
+        if not pool[2].size:
+            break
+        by_weight = np.argsort(-pool[2], kind="stable")  # then by name pair: Kruskal order
+        p, q, w = (a.take(by_weight) for a in pool)
+        joined = np.array(_union(parent, p.tolist(), q.tolist()), dtype=np.intp)
+        joined = joined[w[joined] < threshold]  # the joins that the threshold did not list
+        kept.append((p[joined], q[joined], w[joined]))
+        if w.size < size:  # no cut: the round took every live pair, so none is left
+            break
+        roots = np.array(parent)
+        while not np.array_equal(roots, roots[roots]):
+            roots = roots[roots]
+        parent = roots.tolist()
+        first, size = False, 2 * size
+    p, q, w = map(np.concatenate, zip(*kept))
     del kept
+    by_name = np.argsort(p.astype(np.int64) * n + q, kind="stable")  # one sorted run, then joins
+    p, q, w = (a.take(by_name).tolist() for a in (p, q, w))
+    del by_name
     names = [nodes[k] for k in order]
-    return list(zip(map(names.__getitem__, low.tolist()), map(names.__getitem__, high.tolist()),
-                    np.negative(neg, out=neg).tolist()))
+    return list(zip(map(names.__getitem__, p), map(names.__getitem__, q), w))
 
 
 def backbone(net: ProximityNetwork, threshold: float = DEFAULT_THRESHOLD) -> list[Edge]:
@@ -214,8 +209,13 @@ def backbone(net: ProximityNetwork, threshold: float = DEFAULT_THRESHOLD) -> lis
     as (a, b, weight) with a < b, sorted by name.
 
     Networks with at most ``PYTHON_LISTING_MAX_PAIRS`` node pairs list their
-    edges in pure Python; larger ones resolve the names to ranks once and
-    list the edges with numpy.  Both give the same edges.
+    edges in pure Python.  Larger ones resolve the names to ranks once and run
+    Filter-Kruskal (Osipov, Sanders and Singler, 2009) over the weight matrix,
+    a block of rows at a time, without listing every edge: each round pools
+    the heaviest live edges (``n`` of them, then twice as many each round,
+    with every edge tied with the lightest), where a live edge joins two
+    trees; it sorts and unites them.  The first round also lists the edges at
+    or above the threshold.  Both ways give the same edges.
     """
     if not 0.0 <= threshold <= 1.0:
         raise DataError(f"backbone threshold must be in [0, 1], got {threshold}")

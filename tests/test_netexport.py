@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcaspace import (
@@ -317,76 +317,120 @@ class TestBackboneReference:
 
 
 @st.composite
-def grouped_pairs(draw):
-    """(n, a, b, key): the node pairs inside each of up to 4 groups of 2-60
-    nodes, each kept with probability 0.3 or 1, shuffled, ends swapped at
-    random.  A pair's key is the larger of its nodes' values, drawn in 0-3
-    (ties are many) or 0-10**6: the lowest keys gather on a few nodes, as
-    in a min-conditional network, so Filter-Kruskal takes up to 5 rounds."""
+def grouped_networks(draw):
+    """Networks of 2-60 shuffled names whose pairs inside each of up to 4
+    groups are kept with probability 0.3 or 1.  A pair weighs 1 minus the
+    larger of its nodes' values over ``top``, the values drawn in 0-3 (ties
+    are many) or 0-10**6: the heaviest pairs gather on a few nodes, as in a
+    min-conditional network, so Filter-Kruskal takes up to 5 rounds."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 60))
     groups = rng.integers(0, draw(st.integers(1, 4)), n)
     density = draw(st.sampled_from([0.3, 1.0]))
-    a, b = np.nonzero(np.triu(groups[:, None] == groups, 1) & (rng.random((n, n)) < density))
-    order = rng.permutation(a.size)
-    swap = rng.random(a.size) < 0.5
-    a, b = np.where(swap, b[order], a[order]), np.where(swap, a[order], b[order])
-    value = rng.integers(0, draw(st.sampled_from([4, 10**6])), n)
-    return n, a.tolist(), b.tolist(), np.maximum(value[a], value[b]).tolist()
+    top = draw(st.sampled_from([4, 10**6]))
+    value = rng.integers(0, top, n)
+    paired = np.triu(groups[:, None] == groups, 1) & (rng.random((n, n)) < density)
+    w = np.where(paired, 1.0 - np.maximum.outer(value, value) / top, 0.0)
+    return net_from(w + w.T + np.eye(n), rng.choice(_NAME_POOL, n, replace=False).tolist())
+
+
+def _matrix_rounds(net, rows, threshold=math.inf):
+    """(the numpy backbone, the (parent, ends a, ends b, joins) of each round's
+    union) with blocks of ``rows`` rows; at threshold inf, the forest alone."""
+    rounds, real_union = [], netexport._union
+
+    def union(parent, ends_a, ends_b):
+        before = list(parent)
+        joined = real_union(parent, ends_a, ends_b)
+        rounds.append((before, ends_a, ends_b, len(joined)))
+        return joined
+
+    with mock.patch.object(proximity, "_BLOCK_CELLS", rows * len(net.nodes)), \
+            mock.patch.object(netexport, "_union", union):
+        return netexport._backbone_in_numpy(net.nodes, net.weights, threshold), rounds
+
+
+def _pairs_by_rank(net):
+    """{(rank p, rank q): weight} of the positive pairs p < q, ranked by name."""
+    index = {name: k for k, name in enumerate(net.nodes)}
+    at = [index[name] for name in sorted(net.nodes)]
+    w = net.weights.tolist()
+    return {(p, q): w[at[p]][at[q]] for p in range(len(at)) for q in range(p + 1, len(at))
+            if w[at[p]][at[q]] > 0.0}
 
 
 class TestChunkBoundaries:
-    """The n^2 stages with their row blocks and Filter-Kruskal's chunks made
-    1 to 7 rows or pairs long, so that every round and block crosses them."""
+    """The n^2 stages with their row blocks made 1 to 7 rows long, so that
+    every round and block crosses them."""
 
     @settings(max_examples=150, deadline=None)
-    @given(grouped_pairs(), st.integers(1, 7))
-    def test_spanning_forest_is_kruskal_in_key_order(self, pairs, chunk):
-        n, a, b, key = pairs
-        order = sorted(range(len(key)), key=lambda k: (key[k], k))
-        real_union = netexport._union
-        expected = [order[k] for k in real_union(
-            list(range(n)), [a[k] for k in order], [b[k] for k in order])]
-
-        def forest_and_rounds(chunk):
-            rounds = []
-
-            def union(parent, ends_a, ends_b):
-                joined = real_union(parent, ends_a, ends_b)
-                rounds.append((ends_a, ends_b, len(joined)))
-                return joined
-
-            with mock.patch.object(netexport, "_CHUNK_PAIRS", chunk), \
-                    mock.patch.object(netexport, "_union", union):
-                return netexport.spanning_forest(n, a, b, key), rounds
-
-        forest, rounds = forest_and_rounds(chunk)
-        assert forest == expected
-        assert all(joins for _, _, joins in rounds)  # every round joins a pair
-        # each round's cut is the one a single chunk finds: the same rounds
-        assert rounds == forest_and_rounds(len(key) + 1)[1]
+    @given(grouped_networks(), st.integers(1, 7))
+    def test_rounds_are_kruskal_in_weight_order(self, net, rows):
+        forest, rounds = _matrix_rounds(net, rows)
+        assert forest == reference_backbone(net.nodes, net.weights.tolist(), math.inf)
+        assert all(joins for *_, joins in rounds)  # every round joins a pair
+        # the rounds take the pairs by weight descending, then by name pair
+        names, weight = sorted(net.nodes), _pairs_by_rank(net)
+        taken = [(-weight[p, q], names[p], names[q])
+                 for _, ends_a, ends_b, _ in rounds for p, q in zip(ends_a, ends_b)]
+        assert taken == sorted(taken)
+        # each block finds the cut that one block of every row finds: the same rounds
+        assert rounds == _matrix_rounds(net, len(net.nodes))[1]
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=2, max_size=60),
-           st.integers(1, 7), st.data())
-    def test_cut_is_the_lowest_live_keys_last(self, pairs, chunk, data):
-        key = np.array([k for k, _ in pairs], dtype=float)
-        alive = np.array([live for _, live in pairs])
-        assume(np.count_nonzero(alive) >= 2)
-        size = data.draw(st.integers(1, np.count_nonzero(alive) - 1))
-        chunks = [slice(i, i + chunk) for i in range(0, len(key), chunk)]
-        expected = np.sort(key[alive])[size - 1]
-        assert netexport._lowest_live_key(key, alive, chunks, size) == expected
+    @given(grouped_networks(), st.integers(1, 7))
+    def test_cut_is_the_heaviest_live_weights_last(self, net, rows):
+        # round k takes the n * 2**k heaviest live pairs, with every pair tied
+        # with the lightest of them; a live pair is lighter than the last
+        # round's cut, and its ends are in different trees
+        weight = _pairs_by_rank(net)
+        _, rounds = _matrix_rounds(net, rows)
+        cut = math.inf
+        for k, (parent, ends_a, ends_b, _) in enumerate(rounds):
+            roots = parent  # compressed: each node's entry is its root
+            live = {pair: w for pair, w in weight.items()
+                    if w < cut and roots[pair[0]] != roots[pair[1]]}
+            size = len(net.nodes) * 2**k
+            low = sorted(live.values())[-size] if len(live) > size else -math.inf
+            taken = list(zip(ends_a, ends_b))
+            assert sorted(taken) == sorted(pair for pair, w in live.items() if w >= low)
+            cut = min(weight[pair] for pair in taken)
 
     @settings(max_examples=100, deadline=None)
-    @given(numpy_listing_networks(), st.integers(1, 7), st.integers(1, 7),
-           st.sampled_from([0.0, 0.25, 0.5, 1.0]))
-    def test_numpy_listing_equals_python_listing(self, net, rows, chunk, threshold):
+    @given(numpy_listing_networks(), st.integers(1, 7), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    def test_numpy_listing_equals_python_listing(self, net, rows, threshold):
         # names in name order or shuffled, as numpy_listing_networks draws them
         expected = netexport._backbone_in_python(net.nodes, net.weights, threshold)
-        with mock.patch.object(proximity, "_BLOCK_CELLS", rows * len(net.nodes)), \
-                mock.patch.object(netexport, "_CHUNK_PAIRS", chunk):
+        with mock.patch.object(proximity, "_BLOCK_CELLS", rows * len(net.nodes)):
             assert netexport._backbone_in_numpy(net.nodes, net.weights, threshold) == expected
+
+    @pytest.mark.parametrize("case", ["signed-zeros", "no-positive-pair", "one-positive-pair",
+                                      "all-tied", "isolated-and-groups"])
+    def test_edge_cases_equal_python_listing(self, case):
+        n = 20
+        rng = np.random.default_rng(23)
+        w = np.triu(rng.integers(0, 5, (n, n)) / 4.0, 1)
+        if case == "no-positive-pair":
+            w[...] = 0.0
+        elif case == "one-positive-pair":
+            w[...] = 0.0
+            w[3, 11] = 0.3
+        elif case == "all-tied":  # one cut ties with every pair, across blocks
+            w = np.triu(np.full((n, n), 0.5), 1)
+        else:
+            group = rng.integers(0, 4, n)
+            w[group[:, None] != group] = 0.0
+            w[group == 3] = 0.0  # group 3 nodes are isolated
+        w = w + w.T + np.eye(n)
+        if case == "signed-zeros":  # beside the 0.0 pairs; at threshold 0 neither is an edge
+            signed = np.triu(rng.random((n, n)) < 0.3, 1)
+            w[signed | signed.T] = -0.0
+        net = net_from(w, [f"n{k:02d}" for k in rng.permutation(n)])
+        assert case != "signed-zeros" or np.signbit(net.weights).any()
+        for threshold in (0.0, 0.4, 0.5, 1.0):
+            expected = netexport._backbone_in_python(net.nodes, net.weights, threshold)
+            for rows in range(1, 8):
+                assert _matrix_rounds(net, rows, threshold)[0] == expected, (threshold, rows)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 40), st.integers(1, 7), st.integers(0, 2**32 - 1))
@@ -434,9 +478,10 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-#: Peak memory of the n^2 stages, in weight matrices of the network: both
-#: measure about 2.24 at 400 nodes, and one more copy of the weight matrix or
-#: of the pair list would exceed the bound.
+#: Peak memory of the n^2 stages, in weight matrices of the network, at 400
+#: nodes: measured 1.24 for ``country_proximity`` and 0.47-0.52 for
+#: ``backbone``, which lists no pair beyond its pool and its kept edges; set
+#: when both measured about 2.24.
 N_SQUARED_PEAK_BOUND = 2.6
 
 
@@ -450,8 +495,9 @@ def test_n_squared_stages_peak_memory(shuffled):
 
 #: Peak memory of each n^2 stage at 400 nodes, in weight matrices: measured
 #: 1.24 for ``country_proximity`` (the weights it returns and a float64 copy
-#: of the advantage matrix), 1.34 for ``backbone`` (its pair list, about one
-#: matrix, and the temporaries of one row block or pair chunk) and 0.10 for
+#: of the advantage matrix), 0.47-0.52 for ``backbone`` (one row block gathered
+#: by name rank with its masks, the pool of a round's heaviest pairs, and the
+#: edges at or above the threshold 0.4) and 0.10 for
 #: streaming the proximity CSV, which must stay under half a matrix.  Another
 #: n^2 array, or a stage's block grown to a third of a matrix, exceeds the
 #: bound.
@@ -654,3 +700,20 @@ class TestEmit:
             first = emit(build_layout(net_from(weights, volumes=volumes)), fmt)
             second = emit(build_layout(net_from(weights, volumes=volumes)), fmt)
             assert first == second
+
+
+#: The backbone's peak at 400 nodes and threshold 1.0, where it keeps the
+#: forest and the pairs of weight 1, in weight matrices: measured 0.37 on the
+#: dense network and 0.34 to 0.35 on one that keeps 2% of its pairs, both
+#: mostly one block of rows gathered by name rank.  A list of every positive
+#: pair, 16 bytes each, took the dense network to 1.34 and left the sparse
+#: one at 0.33.
+@pytest.mark.parametrize("shuffled", [False, True], ids=["name-order", "shuffled"])
+def test_backbone_peak_does_not_grow_with_the_positive_pairs(shuffled):
+    net = country_proximity(seeded_advantage(400, shuffled))
+    keep = np.triu(np.random.default_rng(5).random(net.weights.shape) < 0.02, 1)
+    sparse = net_from(np.where(keep | keep.T, net.weights, 0.0), net.nodes)
+    dense_peak, _ = _traced_peak(backbone, net, 1.0)
+    sparse_peak, _ = _traced_peak(backbone, sparse, 1.0)
+    assert dense_peak < 0.5 * net.weights.nbytes
+    assert abs(dense_peak - sparse_peak) < 0.1 * net.weights.nbytes
