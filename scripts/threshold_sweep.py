@@ -20,7 +20,7 @@ from rcaspace.cli import RunConfig, load_dataset, proximity_network
 from rcaspace.demo import write_demo_dataset
 from rcaspace.errors import DataError
 from rcaspace.ingest import IndexKind
-from rcaspace.netexport import backbone, spanning_forest
+from rcaspace.netexport import _union, backbone
 
 
 def main() -> int:
@@ -56,9 +56,8 @@ def main() -> int:
     print(f"{'threshold':>9s}  {'edges':>5s}  {'components':>10s}  {'mean degree':>11s}")
     for threshold in np.linspace(0.0, 1.0, args.steps):
         edges = backbone(net, float(round(threshold, 6)))
-        comps = n - len(spanning_forest(n, [index[a] for a, _, _ in edges],
-                                        [index[b] for _, b, _ in edges],
-                                        [-w for _, _, w in edges]))
+        comps = n - len(_union(list(range(n)), [index[a] for a, _, _ in edges],
+                               [index[b] for _, b, _ in edges]))
         mean_degree = 2 * len(edges) / n if n else 0.0
         print(f"{threshold:9.2f}  {len(edges):5d}  {comps:10d}  {mean_degree:11.2f}")
     return 0

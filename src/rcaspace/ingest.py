@@ -12,15 +12,14 @@ world-share denominators are complete sums.
 A file is parsed by a columnar byte reader: numpy finds the separators in
 blocks of raw bytes, and only each column's distinct spellings are decoded.
 A file it declines, bad or not, is read again by a per-row ``csv`` reader,
-the only one that writes error messages.
+the only one that writes error messages.  That reader decodes each line as it
+reaches it, so the first bad line is the one named, whatever its fault.
 """
 from __future__ import annotations
 
-import codecs
 import csv
 import enum
 import functools
-import io
 import itertools
 import json
 import math
@@ -181,19 +180,19 @@ def _is_blank(row: list[str]) -> bool:
     return not "".join(row).strip()
 
 
-def _table_per_row(stream: IO[str], index_kind: IndexKind) -> ProductionTable:
+def _table_per_row(stream: IO[bytes], index_kind: IndexKind) -> ProductionTable:
     """The long table read one row at a time; every error names its file line.
 
-    ``stream`` is a text wrapper of a binary file, whose bytes are read
-    again to find the line of bad UTF-8.  Row and column orders follow first
-    appearance; absent cells become zeros.
+    Each line of the binary ``stream`` is decoded as ``csv`` reaches it, so
+    a fault of any kind is named in line order.  Row and column orders
+    follow first appearance; absent cells become zeros.
     """
     normalize = functools.lru_cache(maxsize=None)(normalize_name)  # once per spelling
     countries: dict[str, int] = {}
     fields: dict[str, int] = {}
     first_line: dict[tuple[int, int], int] = {}  # (row, column) -> line, in value order
     values: list[float] = []
-    reader = csv.reader(stream)
+    reader = csv.reader(_decoded_lines(stream))
     rows = itertools.filterfalse(_is_blank, reader)
     try:
         header = next(rows, None)
@@ -222,9 +221,6 @@ def _table_per_row(stream: IO[str], index_kind: IndexKind) -> ProductionTable:
             values.append(value)
     except csv.Error as exc:
         raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:  # the file is decoded as it is read
-        line = _bad_utf8_line(stream.buffer)
-        raise DataError(f"input is not valid UTF-8 ({exc.reason}) at line {line}") from None
 
     if not values:
         raise DataError("no data rows")
@@ -233,25 +229,15 @@ def _table_per_row(stream: IO[str], index_kind: IndexKind) -> ProductionTable:
     return _owned(ProductionTable, index_kind, tuple(countries), tuple(fields), matrix)
 
 
-def _bad_utf8_line(raw: IO[bytes]) -> int:
-    """The line of the first byte of ``raw`` that is not UTF-8, counted as
-    ``csv`` counts lines: each ``\\n``, ``\\r\\n`` or bare ``\\r`` ends one."""
-    raw.seek(0)
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    line, tail = 1, b""
-    for block in iter(functools.partial(raw.read, BLOCK_BYTES), b""):
-        held = len(decoder.getstate()[0])  # an unfinished character's bytes: no line end
+def _decoded_lines(stream: IO[bytes]) -> Iterator[str]:
+    """The lines of ``stream`` as ``csv`` counts them, each ended by ``\\n``,
+    ``\\r\\n`` or a bare ``\\r``, and each decoded only when it is reached."""
+    lines = itertools.chain.from_iterable(chunk.splitlines(keepends=True) for chunk in stream)
+    for line_num, line in enumerate(lines, 1):
         try:
-            decoder.decode(block)
-        except UnicodeDecodeError as exc:  # exc.start counts the held bytes too
-            return line + _line_ends(tail + block[:max(exc.start - held, 0)]) - _line_ends(tail)
-        line += _line_ends(tail + block) - _line_ends(tail)  # a \r\n across blocks ends one line
-        tail = block[-1:]
-    return line  # the file ends inside a character
-
-
-def _line_ends(data: bytes) -> int:
-    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+            yield line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"input is not valid UTF-8 ({exc.reason}) at line {line_num}") from None
 
 
 def _parse_value(text: str, line: int) -> float:
@@ -543,14 +529,14 @@ def parse_production_csv(path: str | Path, index_kind: IndexKind) -> ProductionT
     The file's bytes are parsed a block at a time by
     :func:`_table_in_byte_blocks`.  A file it declines, bad or not, is read
     again from the start by :func:`_table_per_row`.  Only that reader writes
-    error messages, so an error names the first bad line in file order.
+    error messages, and it decodes each line only when it reaches it, so an
+    error names the first bad line in file order, bad UTF-8 included.
     """
     with open(path, "rb") as stream:
         table = _table_in_byte_blocks(stream, index_kind)
         if table is None:
             stream.seek(0)
-            table = _table_per_row(io.TextIOWrapper(stream, encoding="utf-8", newline=""),
-                                   index_kind)
+            table = _table_per_row(stream, index_kind)
     return table
 
 

@@ -94,21 +94,6 @@ def _union(parent: list[int], a: Sequence[int], b: Sequence[int]) -> list[int]:
     return joined
 
 
-def spanning_forest(n_nodes: int, a: Sequence[int], b: Sequence[int],
-                    key: Sequence[float]) -> list[int]:
-    """Kruskal over the node-index pairs (a[k], b[k]), taken by ascending key[k], then k.
-
-    Returns the positions k of the pairs that joined two trees, in that order:
-    with minus the weights as keys they form a maximum-weight spanning
-    forest, and ``n_nodes - len(result)`` is the number of connected
-    components.  The pairs are sorted once, stably, and united in that order;
-    :func:`backbone` does not list its pairs, so it runs its own rounds.
-    """
-    order = np.argsort(np.asarray(key), kind="stable")
-    return order[_union(list(range(n_nodes)), np.take(a, order).tolist(),
-                        np.take(b, order).tolist())].tolist()
-
-
 def _backbone_in_python(nodes: tuple[str, ...], weights: np.ndarray,
                         threshold: float) -> list[Edge]:
     n = len(nodes)

@@ -536,7 +536,7 @@ class TestBlockReader:
             path = Path(directory) / "t.csv"
             path.write_bytes(text.encode("utf-8"))
             result = _table_or_error(lambda: parse_production_csv(path, IndexKind.DOCUMENTS))
-            with open(path, encoding="utf-8", newline="") as stream:
+            with open(path, "rb") as stream:
                 expected = _table_or_error(
                     lambda: ingest._table_per_row(stream, IndexKind.DOCUMENTS))
             with open(path, "rb") as stream:
@@ -796,9 +796,8 @@ class TestBadUtf8:
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_late_bad_byte_names_its_line(self, tmp_path, end):
-        # 20,001 lines with \xff at line 15,002: far past the text decoder's
-        # first chunk (test_fault_three_blocks_in puts one past the byte
-        # reader's third block)
+        # 20,001 lines with \xff at line 15,002 (test_fault_three_blocks_in
+        # puts one past the byte reader's third block)
         rows = [b"country,field,value"] + [f"C{r // 40},F{r % 40},1".encode() for r in range(20000)]
         rows[15001] = b"C\xff" + rows[15001][1:]
         path = tmp_path / "t.csv"
@@ -821,6 +820,22 @@ class TestBadUtf8:
             with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes), \
                     pytest.raises(DataError, match=f"^input is not valid UTF-8 .* at line {line}$"):
                 parse_production_csv(path, IndexKind.DOCUMENTS)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"country,field,value\nA,Mth,-1\nB\xff,Mth,1\n", "negative value at line 2"),
+        (b"country,field,value\nA\xff,Mth,1\nB,Mth,-1\n",
+         "input is not valid UTF-8 (invalid start byte) at line 2"),
+        (b'country,field,value\n"A\nB",Mth,1\nC\xff,Mth,1\n',
+         "input is not valid UTF-8 (invalid start byte) at line 4"),
+        (b'country,field,value\n"A\nB",Mth,-1\nC\xff,Mth,1\n', "negative value at line 3"),
+    ], ids=["value-before-bad-utf8", "bad-utf8-before-value", "bad-byte-after-quoted-newline",
+            "value-after-quoted-newline-before-bad-utf8"])
+    def test_first_fault_in_line_order_is_named(self, tmp_path, data, message):
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        with pytest.raises(DataError) as raised:
+            parse_production_csv(path, IndexKind.DOCUMENTS)
+        assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("fault, message", [

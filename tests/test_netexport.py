@@ -280,18 +280,6 @@ class TestBackboneReference:
             assert min(joins_per_block) > 0
             assert joins_per_block[-1] > 0
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 12), st.data())
-    def test_spanning_forest_is_kruskal_in_key_order(self, n, data):
-        # the pairs taken by ascending key, then position, one at a time
-        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                                             st.integers(0, 3)), max_size=40))
-        a, b, key = ([p[i] for p in pairs] for i in range(3))
-        order = sorted(range(len(pairs)), key=lambda k: (key[k], k))
-        expected = [order[k] for k in netexport._union(
-            list(range(n)), [a[k] for k in order], [b[k] for k in order])]
-        assert netexport.spanning_forest(n, a, b, key) == expected
-
     @pytest.mark.parametrize("n", [3, _SMALL_N + 1])
     def test_asymmetric_weights_rejected(self, n):
         # on either listing size, a pair that weighs differently in the two
