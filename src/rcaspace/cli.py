@@ -99,8 +99,11 @@ class _LoadedDataset:
     warnings: list[str] = field(default_factory=list)
 
 
-def load_dataset(cfg: RunConfig) -> _LoadedDataset:
-    """Parse, label, align and analyze ``cfg``'s tables, once each and in ``IndexKind`` order."""
+def load_dataset(cfg: RunConfig, digests: bool = False) -> _LoadedDataset:
+    """Parse, label, align and analyze ``cfg``'s tables, once each and in ``IndexKind`` order.
+
+    With ``digests``, each input also gets the sha256 of its file, as the summaries report it.
+    """
     manifest = load_manifest(cfg.manifest)
     available = {e.index: e for e in manifest.tables}
     wanted = available if cfg.indexes is None else cfg.indexes
@@ -124,8 +127,10 @@ def load_dataset(cfg: RunConfig) -> _LoadedDataset:
     # them. The tables are aligned at once, so the unaligned ones are freed before the analyses.
     tables = validate_alignment([stage(e.index, e.path, lambda p, k: resolve_labels(
         parse_production_csv(p, k)), e.resolved, e.index) for e in entries])
-    inputs = [{"index": e.index.value, "path": e.path, "sha256": sha256_file(e.resolved)}
-              for e in entries]
+    inputs = [{"index": e.index.value, "path": e.path} for e in entries]
+    if digests:  # taken right after the parse
+        for entry, e in zip(inputs, entries):
+            entry["sha256"] = sha256_file(e.resolved)
     analyses = [stage(t.index_kind, t.index_kind.value, analyze_index, t, cfg.quartile_rule)
                 for t in tables]
     return _LoadedDataset(manifest.dataset_name, manifest.period, inputs, analyses, collected)
@@ -209,7 +214,7 @@ def _write_artifacts(cfg: RunConfig, data: _LoadedDataset, command: str,
 
 def run(cfg: RunConfig, command: str, mode: str | None = None) -> AnalysisReport | None:
     """Load the dataset, write and list what ``command`` makes of it; the report, if any."""
-    data = load_dataset(cfg)
+    data = load_dataset(cfg, digests=bool(COMMANDS[command].summaries))
     written, report = _write_artifacts(cfg, data, command, mode)
     for message in report.warnings if report else data.warnings:
         print(f"warning: {message}", file=sys.stderr)

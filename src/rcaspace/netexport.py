@@ -74,9 +74,9 @@ class NetworkLayout:
 
 
 #: Networks with at most this many node pairs (14 nodes) list their edges in
-#: pure Python over ``weights.tolist()``; larger ones list them with numpy,
-#: whose fixed cost per call is some 50 us but whose cost per pair is far
-#: lower.  The two cost the same between 100 and 190 pairs.
+#: pure Python over ``weights.tolist()``, about 0.7 us a pair; larger ones run the
+#: numpy rounds, some 150-230 us per call but far less per pair.  The two cost the
+#: same between about 190 and 330 pairs, so 15 to 20 nodes pay up to 0.1 ms more.
 PYTHON_LISTING_MAX_PAIRS = 100
 
 
@@ -111,70 +111,63 @@ def _backbone_in_python(nodes: tuple[str, ...], weights: np.ndarray,
                   if k in forest or -w >= threshold)
 
 
-#: No pairs: (ranks p, ranks q, weights), as :func:`_listed` gives them.
-_NO_PAIRS = (np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))
-
-
-def _listed(by_rank: np.ndarray, mask: np.ndarray, start: int) -> tuple[np.ndarray, ...]:
-    """(ranks p, ranks q, weights) of the pairs in ``mask``, in name-pair order:
-    row r of the block is rank ``start + r``, column j rank ``start + 1 + j``."""
-    keys = np.flatnonzero(mask).astype(np.int32)  # r * width + j, ascending; half of intp
-    p, q = np.divmod(keys, mask.shape[1])
-    return p + start, q + (start + 1), by_rank.take(keys)
-
-
-def _heaviest(pool: tuple[np.ndarray, ...], by_rank: np.ndarray, live: np.ndarray,
-              start: int, size: int) -> tuple[np.ndarray, ...]:
-    """The pairs of ``pool`` and the block's ``live`` pairs that are among the
-    ``size`` heaviest of them all, with every pair tied with the lightest.  The
-    cut comes from the weights alone, so the block lists at most those pairs."""
-    if pool[2].size >= size:  # no pair lighter than the pool's lightest can enter
-        live &= by_rank >= pool[2].min()
-    weights = np.concatenate([pool[2], by_rank[live]])
-    if weights.size > size:
-        weights.partition(-size)
-        live &= by_rank >= weights[-size]
-        pool = tuple(a[pool[2] >= weights[-size]] for a in pool)
-    return tuple(map(np.concatenate, zip(pool, _listed(by_rank, live, start))))
-
-
 def _backbone_in_numpy(nodes: tuple[str, ...], weights: np.ndarray,
                        threshold: float) -> list[Edge]:
     n = len(nodes)
     order = sorted(range(n), key=nodes.__getitem__)  # rank -> node index
-    at = np.array(order)
-    parent, roots = list(range(n)), np.arange(n)
-    upper = np.ones((0, 0), dtype=bool)  # the mask q > p of a block's first columns
+    at, in_order = np.array(order), order == list(range(n))  # every pipeline network is in order
+    lowest = max(threshold, np.nextafter(0.0, 1.0))  # w >= lowest: positive and >= threshold
+    tree = np.arange(n, dtype=np.int32)  # rank -> the rank at the root of its tree
+    parent = tree.tolist()
+    end = np.zeros(n, np.intp)  # rank -> the other end of its heaviest live pair
+    heaviest = np.zeros(n)  # its weight; 0 once the rank has no positive live pair
+    todo, paired = np.arange(n), None  # the ranks to scan; the ranks with a positive pair
     kept = []  # the pairs >= threshold, then the joins lighter than it
-    first, size = True, n
-    while True:  # Filter-Kruskal: each round unites the heaviest live pairs
-        pool = _NO_PAIRS
+    while True:  # Borůvka: each tree unites its heaviest live pair
         for rows in _row_blocks(n):
-            # the weights of ranks p in rows to ranks q > rows.start
-            by_rank = weights.take(at[rows], axis=0).take(at[rows.start + 1:], axis=1)
-            live = by_rank > 0.0
-            head = live[:, :len(live)]
-            if len(upper) < len(head):
-                upper = np.triu(np.ones((len(head), len(head)), dtype=bool))
-            head &= upper[:len(head), :head.shape[1]]  # row r keeps its columns j >= r
-            if first:  # the first round lists the threshold edges
-                kept.append(_listed(by_rank, live & (by_rank >= threshold), rows.start))
-            live &= roots[rows, None] != roots[rows.start + 1:]  # ends in two trees
-            pool = _heaviest(pool, by_rank, live, rows.start, size)
-        if not pool[2].size:
+            ranks = todo[rows]
+            if not ranks.size:
+                break
+            w = weights.take(at[ranks], axis=0)  # a copy, masked in place
+            if not in_order:
+                w = w.take(at, axis=1)
+            if paired is None:  # the first round lists the threshold edges
+                keys = np.flatnonzero(w >= lowest)
+                p, q = np.divmod(keys, n)
+                p += rows.start
+                upper = q > p
+                kept.append((p[upper], q[upper], w.take(keys[upper])))
+                w[np.arange(len(w)), ranks] = 0.0  # each rank is a tree of its own
+            else:  # a live pair has its ends in two trees; a dead one weighs 0 here
+                w *= tree[ranks, None] != tree
+            end[ranks] = w.argmax(axis=1)  # the first of equal weights: the lowest name pair
+            heaviest[ranks] = w[np.arange(len(w)), end[ranks]]
+        ends = np.flatnonzero(heaviest > 0.0)
+        if paired is None:
+            paired = ends
+        if not ends.size:
             break
-        by_weight = np.argsort(-pool[2], kind="stable")  # then by name pair: Kruskal order
-        p, q, w = (a.take(by_weight) for a in pool)
-        joined = np.array(_union(parent, p.tolist(), q.tolist()), dtype=np.intp)
-        joined = joined[w[joined] < threshold]  # the joins that the threshold did not list
-        kept.append((p[joined], q[joined], w[joined]))
-        if w.size < size:  # no cut: the round took every live pair, so none is left
+        # each tree's heaviest live pair, then its lowest name pair p * n + q
+        roots, w = tree[ends], heaviest[ends]
+        top = np.zeros(n)
+        np.maximum.at(top, roots, w)
+        tied = w == top[roots]
+        pair = np.full(n, n * n)
+        np.minimum.at(pair, roots[tied],
+                      (np.minimum(ends, end[ends]) * n + np.maximum(ends, end[ends]))[tied])
+        keys, once = np.unique(pair[roots], return_index=True)  # a pair two trees chose, once
+        (p, q), w = np.divmod(keys, n), top[roots[once]]
+        _union(parent, p.tolist(), q.tolist())  # a strict order: every pair joins two trees
+        light = w < threshold  # the joins that the threshold did not list
+        kept.append((p[light], q[light], w[light]))
+        tree = np.array(parent, np.int32)
+        while not np.array_equal(tree, tree[tree]):
+            tree = tree[tree]
+        parent = tree.tolist()
+        if (tree[paired] == tree[paired[0]]).all():  # one tree holds every paired rank
             break
-        roots = np.array(parent)
-        while not np.array_equal(roots, roots[roots]):
-            roots = roots[roots]
-        parent = roots.tolist()
-        first, size = False, 2 * size
+        # a rank whose pair is still live keeps it: the live pairs only shrink
+        todo = np.flatnonzero((heaviest > 0.0) & (tree == tree[end]))
     p, q, w = map(np.concatenate, zip(*kept))
     del kept
     by_name = np.argsort(p.astype(np.int64) * n + q, kind="stable")  # one sorted run, then joins
@@ -195,12 +188,13 @@ def backbone(net: ProximityNetwork, threshold: float = DEFAULT_THRESHOLD) -> lis
 
     Networks with at most ``PYTHON_LISTING_MAX_PAIRS`` node pairs list their
     edges in pure Python.  Larger ones resolve the names to ranks once and run
-    Filter-Kruskal (Osipov, Sanders and Singler, 2009) over the weight matrix,
-    a block of rows at a time, without listing every edge: each round pools
-    the heaviest live edges (``n`` of them, then twice as many each round,
-    with every edge tied with the lightest), where a live edge joins two
-    trees; it sorts and unites them.  The first round also lists the edges at
-    or above the threshold.  Both ways give the same edges.
+    Borůvka's algorithm over the weight matrix, a block of rows at a time,
+    without listing every edge.  An edge is live while its ends are in two
+    trees.  Each round finds, with one masked argmax per row, the heaviest
+    live edge of each rank whose edge from an earlier round has died, ties
+    going to the lowest name pair; each tree then unites the heaviest of its
+    ranks' edges.  The first round also lists the edges at or above the
+    threshold.  Both ways give the same edges.
     """
     if not 0.0 <= threshold <= 1.0:
         raise DataError(f"backbone threshold must be in [0, 1], got {threshold}")

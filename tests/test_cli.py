@@ -1,8 +1,10 @@
+import builtins
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -225,6 +227,24 @@ class TestLoadStage:
         cfg = cli.RunConfig(write_dataset(tmp_path), tmp_path / "out", indexes=())
         with pytest.raises(DataError, match="requires at least one table"):
             cli.load_dataset(cfg)
+
+
+@pytest.mark.parametrize("command, opens", [(["network", "countries"], 1), (["rca"], 2)],
+                         ids=["network", "rca"])
+def test_a_table_is_read_again_only_for_the_digest_a_summary_reports(
+        tmp_path, monkeypatch, command, opens):
+    # rca writes rca_summary.json, which lists each input's sha256; network writes no summary
+    manifest = write_dataset(tmp_path)
+    tables = {"documents.csv", "citations.csv", "h_index.csv"}
+    opened, real_open = [], builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.path.basename(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main([*command, "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert Counter(name for name in opened if name in tables) == dict.fromkeys(tables, opens)
 
 
 class _FailsAfterFirstChunk:

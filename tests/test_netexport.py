@@ -310,7 +310,7 @@ def grouped_networks(draw):
     groups are kept with probability 0.3 or 1.  A pair weighs 1 minus the
     larger of its nodes' values over ``top``, the values drawn in 0-3 (ties
     are many) or 0-10**6: the heaviest pairs gather on a few nodes, as in a
-    min-conditional network, so Filter-Kruskal takes up to 5 rounds."""
+    min-conditional network."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 60))
     groups = rng.integers(0, draw(st.integers(1, 4)), n)
@@ -353,36 +353,39 @@ class TestChunkBoundaries:
 
     @settings(max_examples=150, deadline=None)
     @given(grouped_networks(), st.integers(1, 7))
-    def test_rounds_are_kruskal_in_weight_order(self, net, rows):
+    def test_rounds_join_and_do_not_depend_on_the_blocks(self, net, rows):
         forest, rounds = _matrix_rounds(net, rows)
         assert forest == reference_backbone(net.nodes, net.weights.tolist(), math.inf)
         assert all(joins for *_, joins in rounds)  # every round joins a pair
-        # the rounds take the pairs by weight descending, then by name pair
-        names, weight = sorted(net.nodes), _pairs_by_rank(net)
-        taken = [(-weight[p, q], names[p], names[q])
-                 for _, ends_a, ends_b, _ in rounds for p, q in zip(ends_a, ends_b)]
-        assert taken == sorted(taken)
-        # each block finds the cut that one block of every row finds: the same rounds
+        # each block finds what one block of every row finds: the same rounds
         assert rounds == _matrix_rounds(net, len(net.nodes))[1]
 
     @settings(max_examples=100, deadline=None)
     @given(grouped_networks(), st.integers(1, 7))
-    def test_cut_is_the_heaviest_live_weights_last(self, net, rows):
-        # round k takes the n * 2**k heaviest live pairs, with every pair tied
-        # with the lightest of them; a live pair is lighter than the last
-        # round's cut, and its ends are in different trees
+    def test_each_round_unites_each_trees_heaviest_live_pair(self, net, rows):
+        # Borůvka: a live pair has its ends in two trees of the forest the
+        # round starts from; each tree with one takes the first of its live
+        # pairs by weight descending, then by name pair, and a pair that two
+        # trees take is united once
         weight = _pairs_by_rank(net)
         _, rounds = _matrix_rounds(net, rows)
-        cut = math.inf
-        for k, (parent, ends_a, ends_b, _) in enumerate(rounds):
-            roots = parent  # compressed: each node's entry is its root
-            live = {pair: w for pair, w in weight.items()
-                    if w < cut and roots[pair[0]] != roots[pair[1]]}
-            size = len(net.nodes) * 2**k
-            low = sorted(live.values())[-size] if len(live) > size else -math.inf
-            taken = list(zip(ends_a, ends_b))
-            assert sorted(taken) == sorted(pair for pair, w in live.items() if w >= low)
-            cut = min(weight[pair] for pair in taken)
+        for parent, ends_a, ends_b, joins in rounds:
+            roots = []
+            for k in range(len(parent)):
+                while parent[k] != k:
+                    k = parent[k]
+                roots.append(k)
+            heaviest = {}
+            for (p, q), w in weight.items():
+                if roots[p] != roots[q]:
+                    for tree in (roots[p], roots[q]):
+                        heaviest[tree] = min(heaviest.get(tree, (math.inf,)), (-w, p, q))
+            taken = sorted(zip(ends_a, ends_b))
+            assert taken == sorted({(p, q) for _, p, q in heaviest.values()})
+            assert joins == len(taken)
+        # the rounds join the pairs of the forest, and no more
+        forest = reference_backbone(net.nodes, net.weights.tolist(), math.inf)
+        assert sum(joins for *_, joins in rounds) == len(forest)
 
     @settings(max_examples=100, deadline=None)
     @given(numpy_listing_networks(), st.integers(1, 7), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
