@@ -5,7 +5,8 @@ Subcommands map one-to-one onto the independently reproducible artifacts
 which materializes a bundled synthetic dataset, analyzes it and prints a
 digest, so the tool can be exercised with zero external data.
 
-Exit codes: 0 success, 2 I/O failure, 3 data validation failure, 64 usage.
+Exit codes: 0 success, 2 I/O failure, 3 data validation failure or an input too
+large to hold in memory, 64 usage.
 Writes stream: each file is written a block of rows at a time, and is never
 held whole.  Each is still replaced atomically (temp file + rename), but a run
 is not: one that fails keeps the files it wrote before the failure.  Outputs
@@ -342,6 +343,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"rcaspace: error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"rcaspace: error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":  # pragma: no cover

