@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 import warnings as warnings_module
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -78,9 +77,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _write_bytes(path: Path, chunks: Iterable[str]) -> None:
     """Atomic write of text ``chunks``, each UTF-8-encoded as it comes: temp
-    file in the target directory, then rename."""
+    file in the target directory, then rename.  The temp file is made as
+    ``open(path, "w")`` makes a file, with mode 0o666 less the umask, which
+    the rename keeps."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunk.encode("utf-8") for chunk in chunks)

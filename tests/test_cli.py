@@ -1,6 +1,7 @@
 import builtins
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +13,7 @@ import pytest
 
 from rcaspace import AdvantageMatrix, IndexKind, cli
 from rcaspace.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from rcaspace.demo import write_demo_dataset
 from rcaspace.errors import DataError
 from rcaspace.ingest import matrix_csv_chunks
 from rcaspace.netexport import build_layout, emit_chunks
@@ -156,6 +158,21 @@ class TestRcaCommand:
         assert summary["dataset"]["name"] == "tiny"
         listed = capsys.readouterr().out.splitlines()
         assert str(out / "rca_summary.json") in listed
+
+    def test_written_files_honor_the_umask(self, tmp_path, capsys):
+        # each artifact gets 0o666 less the umask, as open(path, "w") gives;
+        # the second run replaces every file and takes the new mode
+        manifest = write_demo_dataset(tmp_path / "demo")
+        out = tmp_path / "out"
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            previous = os.umask(umask)
+            try:
+                assert main(["rca", "--manifest", str(manifest), "--out", str(out)]) == EXIT_OK
+            finally:
+                os.umask(previous)
+            listed = capsys.readouterr().out.splitlines()
+            assert len(listed) == 11 and sorted(listed) == sorted(map(str, out.iterdir()))
+            assert {oct(stat.S_IMODE(os.stat(path).st_mode)) for path in listed} == {oct(mode)}
 
     def test_advantage_matrix_is_binary(self, tmp_path):
         manifest = write_dataset(tmp_path, {"documents": DOCS_CSV})

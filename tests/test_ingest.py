@@ -528,13 +528,13 @@ class TestBlockReader:
     """The columnar byte reader against the per-row core it falls back to."""
 
     def check(self, text, block_bytes, accept=False):
-        """``text`` in a file parses as the per-row reader reads it, and the byte
-        reader declines only what that reader rejects (nothing, if ``accept``);
-        returns the per-row reader's result."""
+        """``text`` (or raw bytes) in a file parses as the per-row reader reads
+        it, and the byte reader declines only what that reader rejects
+        (nothing, if ``accept``); returns the per-row reader's result."""
         with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes), \
                 tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "t.csv"
-            path.write_bytes(text.encode("utf-8"))
+            path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
             result = _table_or_error(lambda: parse_production_csv(path, IndexKind.DOCUMENTS))
             with open(path, "rb") as stream:
                 expected = _table_or_error(
@@ -706,6 +706,78 @@ class TestBlockReader:
         with mock.patch.object(ingest, "_table_per_row", side_effect=AssertionError):
             assert parse(text).values.tolist() == [[10.0], [7.0]]
 
+    @pytest.mark.parametrize("block_bytes", [16, 64, ingest.BLOCK_BYTES])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_digit_spellings_match_the_per_row_reader(self, block_bytes, eol):
+        # lengths 1 to 10 (9 and 10 digits go to float), leading zeros, and
+        # names of digits, so a short value's word runs on into the next
+        # row's digits
+        values = ["0", "7", "00", "10", "007", "1234", "01234", "99999", "123456", "1234567",
+                  "00000000", "00000001", "10000000", "12345678", "99999999", "100000000",
+                  "999999999", "0000000000", "1234567890"]
+        rows = [f"{i + 10},{i % 3},{value}" for i, value in enumerate(values)]
+        table = self.check("country,field,value" + eol + eol.join(rows) + eol, block_bytes,
+                           accept=True)
+        assert table.values[np.arange(len(values)), np.arange(len(values)) % 3].tolist() == [
+            float(value) for value in values]
+        assert not np.signbit(table.values).any()
+
+    @pytest.mark.parametrize("block_bytes", [16, 64, ingest.BLOCK_BYTES])
+    @pytest.mark.parametrize("value", ["", " ", "+1", "0" * 9, "1" * 9, "1" * 16])
+    def test_spans_not_of_one_to_eight_digits(self, block_bytes, value):
+        # after 8 digit-only rows, so the block reads its values from their
+        # words: an empty span, and one over 8 bytes, are left to float
+        text = "country,field,value\n" + "".join(f"D{k},F,{10 ** k}\n" for k in range(8))
+        self.check(text + f"X,F,{value}\nY,F,5\n", block_bytes)
+
+    @pytest.mark.parametrize("position", range(8))
+    def test_each_byte_at_each_position_of_eight_digits(self, position):
+        # the byte after 8 digit-only rows, so the block reads its values
+        # arithmetically: each of the 256 byte values in one file, then every
+        # spelling that file accepts again in one table at three block sizes
+        head = b"country,field,value\n" + b"".join(b"D%d,F,%d\n" % (k, 10 ** k) for k in range(8))
+        accepted = []
+        for byte in range(256):
+            spelling = b"12345678"[:position] + bytes([byte]) + b"12345678"[position + 1:]
+            if isinstance(self.check(head + b"X,F," + spelling + b"\nY,F,5\n", ingest.BLOCK_BYTES),
+                          ProductionTable):
+                accepted.append(spelling)
+        assert {b"12345678"[:position] + bytes([d]) + b"12345678"[position + 1:]
+                for d in b"0123456789"} <= set(accepted)
+        assert not {b"/", b":"} & {s[position:position + 1] for s in accepted}
+        text = head + b"".join(b"X%d,F,%s\n" % (k, s) for k, s in enumerate(accepted))
+        for block_bytes in (16, 64, ingest.BLOCK_BYTES):
+            self.check(text, block_bytes, accept=True)
+
+    @pytest.mark.parametrize("block_bytes", [16, 64, ingest.BLOCK_BYTES])
+    @pytest.mark.parametrize("digit_rows", [1, 3])
+    def test_blocks_mix_digit_spans_with_other_spellings(self, block_bytes, digit_rows):
+        # digit_rows in every 4 rows are digits: blocks read mostly by float,
+        # then mostly from their words, with the GOOD_VALUES between them
+        rows = [f"C{r},F{r % 7},{r * 7919 % 10 ** (r % 9 + 1) if r % 4 < digit_rows else value}"
+                for r, value in enumerate(GOOD_VALUES * 40)]
+        table = self.check("country,field,value\n" + "\n".join(rows) + "\n", block_bytes,
+                           accept=True)
+        assert table.values.shape == (len(rows), 7)
+
+    def test_integers_are_read_without_float(self):
+        # an all-digit table gives _values no cell: its one call is the
+        # dtype probe with no cells; other spellings still take the fast path
+        text = "country,field,value\n" + "".join(
+            f"C{r},F{r % 5},{r * 7919 % 10 ** (r % 8 + 1)}\n" for r in range(20000))
+        with mock.patch.object(ingest, "_values", wraps=ingest._values) as values, \
+                mock.patch.object(ingest, "_table_per_row", side_effect=AssertionError):
+            table = parse(text)
+        assert values.call_args_list == [mock.call([])]
+        _assert_same(table, ingest._table_per_row(io.BytesIO(text.encode()), IndexKind.DOCUMENTS))
+        spellings = ["-0", "1_000", " 7 ", "12.5", '"12"', "\u0663"]
+        text = "country,field,value\n" + "".join(
+            f"C{r},F,{spelling}\n" for r, spelling in enumerate(spellings * 3 + ["8"] * 12))
+        with mock.patch.object(ingest, "_table_per_row", side_effect=AssertionError):
+            table = parse(text)
+        assert table.values[:6, 0].tolist() == [-0.0, 1000.0, 7.0, 12.5, 12.0, 3.0]
+        assert np.signbit(table.values[0, 0])
+
     def test_large_table_takes_the_fast_path(self):
         # 2,000 rows in 3 blocks, with quoted, comma and NFD names and \r\n
         # line ends: parsed without the per-row reader
@@ -760,9 +832,11 @@ class TestBlockReader:
     def test_parse_peak_does_not_grow_with_the_file(self, tmp_path):
         # one grid of 300 x 125 cells, once with its names padded so that the
         # file is 4 times larger; every name is in the first rows, so the
-        # matrix is allocated once.  Measured: 5.4 and 2.8 BLOCK_BYTES above
-        # the values, and 3.9 for the padded file when a block's separators
-        # are searched in one pass rather than a strip at a time.
+        # matrix is allocated once.  Measured: 5.38 and 2.83 BLOCK_BYTES above
+        # the values with the integer values read from their words (5.39 and
+        # 2.84 when every value went through the spelling dictionary), and 3.9
+        # for the padded file when a block's separators are searched in one
+        # pass rather than a strip at a time.
         extra = []
         for pad in ("", "." * 36):
             path = tmp_path / f"pad{len(pad)}.csv"
