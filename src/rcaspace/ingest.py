@@ -334,26 +334,24 @@ class _Column:
         self.words = np.zeros((1, 1), dtype=np.uint64)
         self.values = np.zeros(1, dtype=convert([]).dtype)
 
-    def __call__(self, words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        """The value of each span ``[starts, ends)`` of a block whose 8-byte
-        word at byte ``i`` is ``words[i]``.
-
-        Sorted with the span's index in their low bits, equal fingerprints
-        sit together behind their first span.  Each distinct one is looked
-        up, then every span is compared word by word with the spelling found
-        (with no NUL byte, equal words are equal bytes), so a collision
-        raises ValueError rather than merging two spellings, as does a span
-        over ``_MAX_FIELD`` bytes.
+    def __call__(self, buf: bytearray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """The value of each span ``[starts, ends)`` of a block at the start of
+        ``buf``, whose words one fancy index reads from a view of ``buf`` with
+        an item of ``8 * width`` bytes at each byte.  Sorted with the span's
+        index in their low bits, equal fingerprints sit together behind their
+        first span.  Each distinct one is looked up, then every span is
+        compared word by word with the spelling found (with no NUL byte, equal
+        words are equal bytes), so a collision raises ValueError rather than
+        merging two spellings, as does a span over ``_MAX_FIELD`` bytes.
         """
         lengths = ends - starts
         width = max(-(-int(lengths.max(initial=0)) // 8), 1)
         if width > _MAX_FIELD // 8:
             raise ValueError("field too long")
-        offsets = np.arange(0, 8 * width, 8)
-        masks = _LOW_BYTES[np.clip(np.arange(8 * width + 1) - offsets[:, None], 0, 8)]
-        grid = np.empty((width, lengths.size), dtype=np.uint64)  # a column per span
-        for row, offset, mask in zip(grid, offsets.tolist(), masks):  # temporaries of one row
-            row[...] = words[starts + offset].view(np.uint64)
+        masks = _LOW_BYTES[np.clip(np.arange(8 * width + 1) - 8 * np.arange(width)[:, None], 0, 8)]
+        grid = np.ndarray((len(buf) - 8 * width + 1,), f"V{8 * width}", buf, 0, (1,))[starts]
+        grid = grid.view(np.uint64).reshape(-1, width).T  # a column per span
+        for row, mask in zip(grid, masks):  # temporaries of one row
             row &= mask.take(lengths)
         keys = _MULTIPLIERS[:width] @ grid
         keys >>= _SPAN_BITS
@@ -415,19 +413,18 @@ def _values(cells: list[str]) -> np.ndarray:
     return values
 
 
-def _data_rows(stream: IO[bytes]) -> Iterator[tuple[np.ndarray, ...]]:
+def _data_rows(stream: IO[bytes]) -> Iterator[tuple]:
     """The data rows of ``stream``, a block of whole lines at a time: the
-    block's bytes, the 8-byte word at each byte, and each row's start, two
-    commas and end (before ``\\r\\n`` or ``\\n``), all viewing one buffer.
+    block's bytes, the buffer they are read into, and each row's start, two
+    commas and end (before ``\\r\\n`` or ``\\n``).
 
-    Lines and fields are cut at the commas and newlines outside quotes,
-    found by a prefix XOR over the quotes among them.  The header and blank
-    lines are skipped.  Any other line without two such commas, a NUL byte,
-    a bare ``\\r``, an unclosed quote or a line over four ``_MAX_FIELD``
-    raises ValueError.
+    Lines and fields are cut at the commas and newlines outside quotes, found by
+    a prefix XOR over the quotes among them.  The header and blank lines are
+    skipped; a block whose lines all hold two such commas takes no boolean pass.
+    Any other line without two such commas, a NUL byte, a bare ``\\r``, an
+    unclosed quote or a line over four ``_MAX_FIELD`` raises ValueError.
     """
     buf = bytearray(BLOCK_BYTES + 5 * _MAX_FIELD + 8)  # a span's words reach _MAX_FIELD past it
-    words = np.ndarray((len(buf) - 7,), "V8", buf, 0, (1,))
     held = 0  # bytes of an unfinished line, carried at the start of buf
     header_seen = False
     while True:
@@ -443,10 +440,10 @@ def _data_rows(stream: IO[bytes]) -> Iterator[tuple[np.ndarray, ...]]:
         seps = np.concatenate([  # commas, newlines and quotes, with bools of one strip at a time
             np.add(np.flatnonzero((part == 44) | (part == 10) | (part == 34)), at, dtype=np.int32)
             for at in range(0, end, _STRIP) for part in [data[at:at + _STRIP]]])
-        quoted = data[seps] == 34
+        quoted = data.take(seps) == 34
         quoted |= np.logical_xor.accumulate(quoted)  # a quote, or inside quotes
         seps = seps[~quoted]
-        newlines = np.flatnonzero(data[seps] == 10)
+        newlines = np.flatnonzero(data.take(seps) == 10)
         if not newlines.size:  # no whole line yet
             if not read or end > 4 * _MAX_FIELD:
                 raise ValueError("no line end")
@@ -461,7 +458,7 @@ def _data_rows(stream: IO[bytes]) -> Iterator[tuple[np.ndarray, ...]]:
         starts = np.empty_like(ends)
         starts[0] = 0
         starts[1:] = ends[:-1] + 1
-        ends -= (lines[ends - 1] == 13) & (ends > starts)
+        ends -= (lines.take(ends - 1) == 13) & (ends > starts)
         first = 0
         while not header_seen and first < ends.size:
             line = lines[starts[first]:ends[first]].tobytes()
@@ -469,11 +466,12 @@ def _data_rows(stream: IO[bytes]) -> Iterator[tuple[np.ndarray, ...]]:
             first += 1
         regular = np.diff(newlines, prepend=-1)[first:] == 3  # two commas, then a newline
         starts, ends, newlines = starts[first:], ends[first:], newlines[first:]
-        for k in np.flatnonzero(~regular & (ends > starts)).tolist():
-            _is_blank_line(lines[starts[k]:ends[k]].tobytes())
-        rows = newlines[regular]
-        block = lines, words, starts[regular], seps[rows - 2], seps[rows - 1], ends[regular]
-        del quoted, seps, newlines, starts, ends, regular, rows  # freed while the block is used
+        if not regular.all():
+            for k in np.flatnonzero(~regular & (ends > starts)).tolist():
+                _is_blank_line(lines[starts[k]:ends[k]].tobytes())
+            starts, ends, newlines = starts[regular], ends[regular], newlines[regular]
+        block = lines, buf, starts, seps.take(newlines - 2), seps.take(newlines - 1), ends
+        del quoted, seps, newlines, starts, ends, regular  # freed while the block is used
         yield block
         held = end - stop
         if held > 4 * _MAX_FIELD:
@@ -498,8 +496,8 @@ def _table_in_byte_blocks(stream: IO[bytes], index_kind: IndexKind) -> Productio
     matrix, seen = np.zeros((0, 0)), np.zeros((0, 0), dtype=bool)  # grown as names come
     n_rows = 0
     try:
-        for lines, words, starts, comma1, comma2, ends in _data_rows(stream):
-            rows, cols = country(words, starts, comma1), field(words, comma1 + 1, comma2)
+        for lines, buf, starts, comma1, comma2, ends in _data_rows(stream):
+            rows, cols = country(buf, starts, comma1), field(buf, comma1 + 1, comma2)
             starts = comma2 + 1
             if np.any(blank := rows < 0):  # skipped if all its cells are blank
                 if np.any(cols[blank] >= 0) or any(
@@ -511,9 +509,11 @@ def _table_in_byte_blocks(stream: IO[bytes], index_kind: IndexKind) -> Productio
                 raise ValueError("empty field name")
             if len(countries) > len(matrix) or len(fields) > matrix.shape[1]:
                 matrix, seen = (_grown(a, len(countries), len(fields)) for a in (matrix, seen))
-            seen[rows, cols] = True
-            matrix[rows, cols] = _read_values(value, lines, words, starts, ends)
-            n_rows += rows.size
+            cells = np.multiply(rows, matrix.shape[1], dtype=np.intp) + cols  # intp: no overflow
+            del rows, cols  # freed before the next block's names are read
+            seen.put(cells, True)
+            matrix.put(cells, _read_values(value, lines, buf, starts, ends))
+            n_rows += cells.size
     except ValueError:
         return None
     if not n_rows or np.count_nonzero(seen) != n_rows:  # none, or a duplicate cell
@@ -523,7 +523,7 @@ def _table_in_byte_blocks(stream: IO[bytes], index_kind: IndexKind) -> Productio
     return _owned(ProductionTable, index_kind, tuple(countries), tuple(fields), matrix)
 
 
-def _read_values(value: _Column, lines: np.ndarray, words: np.ndarray, starts: np.ndarray,
+def _read_values(value: _Column, lines: np.ndarray, buf: bytearray, starts: np.ndarray,
                  ends: np.ndarray) -> np.ndarray:
     """The values of a block's spans ``[starts, ends)``.  A span of 1 to 8
     ASCII digits is read from its word, left-padded with ``'0'``, checked and
@@ -534,9 +534,9 @@ def _read_values(value: _Column, lines: np.ndarray, words: np.ndarray, starts: n
     more than it saves."""
     head = list(zip(starts[:8].tolist(), ends[:8].tolist()))
     if 2 * sum(e - s <= 8 and lines[s:e].tobytes().isdigit() for s, e in head) <= len(head):
-        return value(words, starts, ends)
+        return value(buf, starts, ends)
     k = np.minimum(ends - starts, 9)
-    x = words[starts].view(np.uint64)
+    x = np.ndarray((len(buf) - 7,), "V8", buf, 0, (1,))[starts].view(np.uint64)
     x <<= _PAD_SHIFT.take(k)
     x |= _PAD.take(k)
     digits = ((x & _HIGH_NIBBLES) == _ZEROS) & ((x + _SIXES & _HIGH_NIBBLES) == _ZEROS)
@@ -547,7 +547,7 @@ def _read_values(value: _Column, lines: np.ndarray, words: np.ndarray, starts: n
     out = x.astype(np.float64)
     if not digits.all():
         others = np.flatnonzero(~digits)
-        out[others] = value(words, starts.take(others), ends.take(others))
+        out[others] = value(buf, starts.take(others), ends.take(others))
     return out
 
 

@@ -677,6 +677,17 @@ class TestBlockReader:
                                                 IndexKind.DOCUMENTS) is None
             assert parse(text).countries == ("Long name here", "Long nameX")
 
+    def test_collisions_in_the_first_word_are_caught(self):
+        # fingerprints made of the second word alone: the two countries
+        # differ only in their first word, which only the check compares
+        text = "country,field,value\nLong name here,Field one,1\nSong name here,Field two,2\n"
+        multipliers = np.zeros_like(ingest._MULTIPLIERS)
+        multipliers[1] = 1 << ingest._SPAN_BITS
+        with mock.patch.object(ingest, "_MULTIPLIERS", multipliers):
+            assert ingest._table_in_byte_blocks(io.BytesIO(text.encode()),
+                                                IndexKind.DOCUMENTS) is None
+        assert parse(text).countries == ("Long name here", "Song name here")
+
     @pytest.mark.parametrize("first, later", [("Long nam", "Long name here"),
                                               ("Long name here", "Long nam")])
     def test_collisions_of_other_widths_are_caught(self, first, later):
@@ -822,6 +833,25 @@ class TestBlockReader:
         table = self.declined(text, block_bytes)
         assert table.countries == tuple(f"C{k:04d}" for k in range(100))
 
+    @pytest.mark.parametrize("block_bytes", [4096, ingest.BLOCK_BYTES])
+    def test_widest_name_ends_the_block_after_a_long_carried_line(self, block_bytes):
+        # the first block ends inside a blank line of 4 * _MAX_FIELD bytes,
+        # carried but for its newline; the second ends with a row whose quoted
+        # country is the widest the byte reader takes, and whose field, read
+        # 64 words wide because another row's field is as wide, starts as far
+        # into the buffer as a name can
+        def rows(size, tag):  # distinct rows of `size` bytes in all, newlines included
+            text = "".join(f"{tag}{k:05d},Mth,1\n" for k in range(size // 13))  # 13 bytes each
+            return tag + "0" * (size % 13) + text[1:]
+        carried = 4 * ingest._MAX_FIELD - 1
+        wide = '"' + "x" * (ingest._MAX_FIELD - 2) + '"'
+        first, last = f"E,{wide},1\n", f"{wide},F,1\n"
+        text = ("country,field,value\n" + rows(block_bytes - 20 - carried, "C") + "," * carried
+                + "\n" + first + rows(block_bytes - 1 - len(first) - len(last), "D") + last)
+        assert len(text) == 2 * block_bytes and text[block_bytes - carried - 1] == "\n"
+        table = self.check(text, block_bytes, accept=True)
+        assert table.countries[-1] == table.fields[-2] == "x" * (ingest._MAX_FIELD - 2)
+
     def test_span_index_fits_its_bits(self):
         # a data row takes at least 3 bytes, and a block holds BLOCK_BYTES
         # after a carried line of up to 4 * _MAX_FIELD: a span index wider
@@ -833,10 +863,12 @@ class TestBlockReader:
         # one grid of 300 x 125 cells, once with its names padded so that the
         # file is 4 times larger; every name is in the first rows, so the
         # matrix is allocated once.  Measured: 5.38 and 2.83 BLOCK_BYTES above
-        # the values with the integer values read from their words (5.39 and
-        # 2.84 when every value went through the spelling dictionary), and 3.9
-        # for the padded file when a block's separators are searched in one
-        # pass rather than a strip at a time.
+        # the values, with one gather per name column and a flat cell index
+        # as with a gather per word and a 2-D index (5.72 and 2.91 when a
+        # block's row and column codes outlive its flat cell index; 5.39 and
+        # 2.84 when every value went through the spelling dictionary), and
+        # 3.9 for the padded file when a block's separators are searched in
+        # one pass rather than a strip at a time.
         extra = []
         for pad in ("", "." * 36):
             path = tmp_path / f"pad{len(pad)}.csv"
