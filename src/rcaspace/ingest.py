@@ -99,6 +99,7 @@ FIELD_LABELS = types.MappingProxyType({
     "Medicine": "Mdc",
 })
 _LABELS = frozenset(FIELD_LABELS.values())
+_set = object.__setattr__  # writes a slot of a frozen result
 
 
 def freeze_grid(obj, **dtypes) -> None:
@@ -110,8 +111,8 @@ def freeze_grid(obj, **dtypes) -> None:
     any caller from changing the object by writing to its own array.
     """
     countries, fields = tuple(obj.countries), tuple(obj.fields)
-    object.__setattr__(obj, "countries", countries)
-    object.__setattr__(obj, "fields", fields)
+    _set(obj, "countries", countries)
+    _set(obj, "fields", fields)
     for name, dtype in dtypes.items():
         arr = np.array(getattr(obj, name), dtype=dtype, order="C")
         if arr.shape != (len(countries), len(fields)):
@@ -120,7 +121,7 @@ def freeze_grid(obj, **dtypes) -> None:
                 f"{len(countries)} countries x {len(fields)} fields"
             )
         arr.setflags(write=False)
-        object.__setattr__(obj, name, arr)
+        _set(obj, name, arr)
 
 
 def _owned(cls, *values):
@@ -129,18 +130,17 @@ def _owned(cls, *values):
     For results the library has just built: the arrays are its own, so
     they are frozen in place with no copy, and each check of the public
     constructor already holds by construction.  A check that does not hold
-    by construction is the caller's to make.
+    by construction is the caller's to make.  Values fill slots: no dict is built.
     """
     obj = object.__new__(cls)
-    stored = vars(obj)
     for name, value in zip(cls.__dataclass_fields__, values):
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
-        stored[name] = value
+        _set(obj, name, value)
     return obj
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ProductionTable:
     """A dense non-negative country x field matrix for one production index."""
 
@@ -151,7 +151,7 @@ class ProductionTable:
 
     def __post_init__(self) -> None:
         freeze_grid(self, values=np.float64)
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise DataError("production table contains a non-finite value")
         if self.values.size and self.values.min() < 0:
             raise DataError("production table contains a negative value")
@@ -344,7 +344,7 @@ class _Column:
         words are equal bytes), so a collision raises ValueError rather than
         merging two spellings, as does a span over ``_MAX_FIELD`` bytes.
         """
-        lengths = ends - starts
+        lengths = np.subtract(ends, starts, dtype=np.intp)  # cast once, not per word row
         width = max(-(-int(lengths.max(initial=0)) // 8), 1)
         if width > _MAX_FIELD // 8:
             raise ValueError("field too long")

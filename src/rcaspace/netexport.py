@@ -41,7 +41,7 @@ SVG_OUTER_RADIUS = 450.0
 Edge = tuple[str, str, float]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class NetworkLayout:
     """A laid-out network: ring/angle/radius per node plus retained edges.
 

@@ -27,7 +27,7 @@ from .rca import AdvantageMatrix, diversity, ubiquity
 MODES = ("fields", "countries")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ProximityNetwork:
     """Symmetric weighted graph over fields or countries, weights in [0, 1].
 

@@ -26,7 +26,7 @@ from .ingest import IndexKind, ProductionTable, _owned, freeze_grid
 ADVANTAGE_THRESHOLD = 1.0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class RcaMatrix:
     """Country x field RCA values plus the mask of well-defined cells."""
 
@@ -47,7 +47,7 @@ class RcaMatrix:
         return self.values[self.defined_mask]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class AdvantageMatrix:
     """Binary country x field matrix: 1 where RCA >= 1 and defined."""
 
@@ -115,9 +115,9 @@ def threshold_advantage(rca: RcaMatrix) -> AdvantageMatrix:
 
 def diversity(adv: AdvantageMatrix) -> np.ndarray:
     """Per-country count of fields with a comparative advantage (row sums)."""
-    return adv.m.sum(axis=1).astype(np.int64)
+    return np.add.reduce(adv.m, 1, np.int64)
 
 
 def ubiquity(adv: AdvantageMatrix) -> np.ndarray:
     """Per-field count of countries with a comparative advantage (column sums)."""
-    return adv.m.sum(axis=0).astype(np.int64)
+    return np.add.reduce(adv.m, 0, np.int64)

@@ -22,7 +22,7 @@ from .stats import (DistributionSummary, aligned_text, classify_skew, pearson, s
                     summary_table_text)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class IndexAnalysis:
     """Everything derived from one production table."""
 

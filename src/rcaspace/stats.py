@@ -41,7 +41,7 @@ QUARTILE_RULES = (
 SYMMETRY_TOLERANCE = 0.15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DistributionSummary:
     n: int
     minimum: float
@@ -126,8 +126,8 @@ def summarize(values: Iterable[float], quartile_rule: str = "linear") -> Distrib
         minimum=minimum,
         q1=q1,
         median=median,
-        # rounding can put the mean of equal values one ulp outside them
-        mean=min(max(float(arr.mean()), minimum), maximum),
+        # np.mean's sum and division; rounding can put the mean of equal values one ulp outside them
+        mean=min(max(float(np.add.reduce(arr) / arr.size), minimum), maximum),
         q3=q3,
         maximum=maximum,
     )

@@ -1,15 +1,23 @@
+import copy
+import dataclasses
 import hashlib
 import json
 import os
+import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rcaspace
+from rcaspace.ingest import _owned
+from rcaspace.report import analyze_index
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # The library surface.  A name added to or removed from it is an API change:
 # update this list, README and CHANGES.md together.
@@ -107,3 +115,66 @@ def test_libcrypto_is_loaded_only_by_a_command_that_takes_digests(tmp_path, comm
         assert inputs and all(
             entry["sha256"] == hashlib.sha256((tmp_path / entry["path"]).read_bytes()).hexdigest()
             for entry in inputs)
+
+
+def _results():
+    """One result of each of the seven result types, from one small analysis."""
+    table = rcaspace.ProductionTable(rcaspace.IndexKind.DOCUMENTS, ("A", "B"), ("X", "Y", "Z"),
+                                     np.array([[1.0, 2.0, 0.0], [3.0, 0.5, 4.0]]))
+    analysis = analyze_index(table)
+    net = rcaspace.field_proximity(analysis.advantage, table.field_totals())
+    return (table, analysis.rca, analysis.advantage, analysis, analysis.summary, net,
+            rcaspace.build_layout(net, 0.0))
+
+
+RESULTS = {type(obj).__name__: obj for obj in _results()}
+#: The types whose public constructor stores read-only copies of its arrays.
+FREEZING = {"ProductionTable", "RcaMatrix", "AdvantageMatrix", "ProximityNetwork"}
+
+
+def _same(a, b) -> bool:
+    """Equal field by field, arrays in dtype and value, nested results too."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(_same(getattr(a, f.name), getattr(b, f.name))
+                                          for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("path", ["constructor", "owned"])
+@pytest.mark.parametrize("name", sorted(RESULTS))
+def test_results_are_slotted_and_frozen(name, path):
+    """Each result type, built by its public constructor or as the library
+    builds it (``_owned``), holds no attribute dict, refuses assignment, keeps
+    its arrays read-only, and survives pickle, deepcopy and replace."""
+    cls = type(RESULTS[name])
+    values = {f.name: getattr(RESULTS[name], f.name) for f in dataclasses.fields(cls)}
+    # writeable copies, so that what is read-only was made so by this build
+    values = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in values.items()}
+    obj = cls(**values) if path == "constructor" else _owned(cls, *values.values())
+    assert not hasattr(obj, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, next(iter(values)), None)
+    # a name that is not a field has no slot; CPython's frozen __setattr__ of a
+    # slotted class raises TypeError for it rather than FrozenInstanceError
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        obj.extra = None
+    if path == "owned" or name in FREEZING:
+        arrays = [v for v in (getattr(obj, k) for k in values) if isinstance(v, np.ndarray)]
+        assert all(not arr.flags.writeable for arr in arrays)
+    assert _same(obj, RESULTS[name])
+    for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), dataclasses.replace(obj)):
+        assert type(twin) is cls and not hasattr(twin, "__dict__")
+        assert _same(twin, obj)
+
+
+def test_readme_library_example_runs():
+    """README's "Library use" block runs as written and its comment's value holds."""
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    expected = float(re.search(r"# rca\.values\[0, 0\] ~= ([0-9.]+)", code).group(1))
+    namespace: dict = {}
+    exec(compile(code, str(README), "exec"), namespace)
+    assert namespace["rca"].values[0, 0] == pytest.approx(expected, abs=0.005)
+    assert b"<svg" in namespace["svg"]

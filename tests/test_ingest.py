@@ -392,6 +392,7 @@ def test_stored_arrays_are_frozen_copies(cls, scalars, arrays):
     of the stored dtype, can change after construction without changing the object."""
     callers = {name: np.array(value) for name, value in arrays.items()}
     obj = cls(**scalars, **callers)
+    assert not hasattr(obj, "__dict__")  # slotted
     for name, theirs in callers.items():
         stored = getattr(obj, name)
         assert not stored.flags.writeable, name
@@ -431,6 +432,7 @@ def test_computed_arrays_are_owned_and_frozen(make_table):
     for aligned in validate_alignment([table, make_table([[1.0]], countries=("C",))]):
         assert not aligned.values.flags.writeable
     assert isinstance(adv.countries, tuple) and isinstance(nets[0].nodes, tuple)
+    assert not any(hasattr(obj, "__dict__") for obj in (rca, adv, *nets))
     repeated = AdvantageMatrix(["A", "A"], ["X", "X"], np.ones((2, 2), bool))
     for build in (field_proximity, country_proximity):
         with pytest.raises(DataError, match="duplicate node names"):

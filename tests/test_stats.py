@@ -156,6 +156,20 @@ def test_quartiles_equal_numpy_for_every_rule(xs):
             assert got.tobytes() == want.tobytes(), rule
 
 
+@settings(max_examples=300)
+@given(st.lists(QUARTILE_CELLS, min_size=1, max_size=300))
+@example([-0.0])
+@example([0.1] * 9)
+@example([5e-324] * 17 + [-0.0])
+@example([1e300, -1e300] * 150)
+def test_mean_equals_numpy_bit_for_bit(xs):
+    """The mean is np.mean's, bit for bit and -0.0 too, held inside the
+    extremes; lengths past 8 take numpy's unrolled pairwise sum."""
+    arr = np.array(xs)
+    want = min(max(float(np.mean(arr)), arr.min()), arr.max())
+    assert summarize(arr).mean.hex() == float(want).hex()
+
+
 class TestPearson:
     def test_perfect_positive(self):
         xs = np.array([1.0, 2.0, 3.0, 4.0])
