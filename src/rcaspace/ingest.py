@@ -11,10 +11,10 @@ world-share denominators are complete sums.
 
 A file is parsed by a columnar byte reader: numpy finds the separators in
 blocks of raw bytes, values of 1 to 8 ASCII digits are computed from their
-bytes, and only the other distinct spellings of each column are decoded.  A
-file it declines, bad or not, is read again by a per-row ``csv`` reader, the
-only one that writes error messages.  That reader decodes each line as it
-reaches it, so the first bad line is the one named, whatever its fault.
+bytes, and only the other distinct spellings are decoded.  A file it declines
+is read again by a per-row ``csv`` reader, which alone writes error messages
+and decodes each line as it reaches it, so the first bad line is named,
+whatever its fault.  Both fill a grown grid: no path holds a file whole.
 """
 from __future__ import annotations
 
@@ -189,10 +189,8 @@ def _table_per_row(stream: IO[bytes], index_kind: IndexKind) -> ProductionTable:
     follow first appearance; absent cells become zeros.
     """
     normalize = functools.lru_cache(maxsize=None)(normalize_name)  # once per spelling
-    countries: dict[str, int] = {}
-    fields: dict[str, int] = {}
-    first_line: dict[tuple[int, int], int] = {}  # (row, column) -> line, in value order
-    values: list[float] = []
+    countries, fields = {}, {}
+    matrix, first = np.zeros((0, 0)), np.zeros((0, 0), np.int64)  # values; first lines, or 0
     reader = csv.reader(_decoded_lines(stream))
     rows = itertools.filterfalse(_is_blank, reader)
     try:
@@ -211,32 +209,37 @@ def _table_per_row(stream: IO[bytes], index_kind: IndexKind) -> ProductionTable:
             if not field:
                 raise DataError(f"empty field name at line {line}")
             value = _parse_value(row[2], line)
-            key = (countries.setdefault(country, len(countries)),
-                   fields.setdefault(field, len(fields)))
-            if key in first_line:
-                raise DataError(
-                    f"duplicate cell ({country}, {field}) at line {line} "
-                    f"(first at line {first_line[key]})"
-                )
-            first_line[key] = line
-            values.append(value)
+            cell = (countries.setdefault(country, len(countries)),
+                    fields.setdefault(field, len(fields)))
+            if len(countries) > len(matrix) or len(fields) > matrix.shape[1]:
+                matrix, first = (_grown(a, len(countries), len(fields)) for a in (matrix, first))
+            if first[cell]:
+                raise DataError(f"duplicate cell ({country}, {field}) at line {line} "
+                                f"(first at line {first[cell]})")
+            first[cell] = line
+            matrix[cell] = value
     except csv.Error as exc:
         raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
 
-    if not values:
+    if not countries:
         raise DataError("no data rows")
-    matrix = np.zeros((len(countries), len(fields)))
-    matrix[tuple(zip(*first_line))] = values
-    return _owned(ProductionTable, index_kind, tuple(countries), tuple(fields), matrix)
+    return _owned(ProductionTable, index_kind, tuple(countries), tuple(fields),
+                  matrix[:len(countries), :len(fields)].copy())
 
 
 def _decoded_lines(stream: IO[bytes]) -> Iterator[str]:
-    """The lines of ``stream`` as ``csv`` counts them, each ended by ``\\n``,
-    ``\\r\\n`` or a bare ``\\r``, and each decoded only when it is reached."""
-    lines = itertools.chain.from_iterable(chunk.splitlines(keepends=True) for chunk in stream)
-    for line_num, line in enumerate(lines, 1):
+    """The lines of ``stream``, read ``BLOCK_BYTES`` at a time, as ``csv`` counts them:
+    each ended by ``\\n``, ``\\r\\n`` or a bare ``\\r``, and decoded only when reached."""
+    held, line_num = [], 0
+    for block in itertools.chain(iter(functools.partial(stream.read, BLOCK_BYTES), b""), [b""]):
+        held.append(block)
+        if block and b"\n" not in block and b"\r" not in block:
+            continue  # so a long line is joined once or twice, not once a block
+        lines = b"".join(held).splitlines(keepends=True)
+        held = [lines.pop()] if block else []  # cut short, or a \r that a \n may end
         try:
-            yield line.decode("utf-8")
+            for line_num, line in enumerate(lines, line_num + 1):
+                yield line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"input is not valid UTF-8 ({exc.reason}) at line {line_num}") from None
 
@@ -569,11 +572,11 @@ def parse_production_csv(path: str | Path, index_kind: IndexKind) -> ProductionT
     Duplicate (country, field) rows are an error; pairs absent from the file
     become zero cells.  Every error message carries the offending line number.
 
-    The file's bytes are parsed a block at a time by
-    :func:`_table_in_byte_blocks`.  A file it declines, bad or not, is read
-    again from the start by :func:`_table_per_row`.  Only that reader writes
-    error messages, and it decodes each line only when it reaches it, so an
-    error names the first bad line in file order, bad UTF-8 included.
+    No path holds the file whole.  It is read a block at a time by
+    :func:`_table_in_byte_blocks`, and a file that reader declines, bad or
+    not, is read again the same way by :func:`_table_per_row`, which alone
+    writes error messages and decodes each line only when it reaches it, so
+    an error names the first bad line in file order, bad UTF-8 included.
     """
     with open(path, "rb") as stream:
         table = _table_in_byte_blocks(stream, index_kind)

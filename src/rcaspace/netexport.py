@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DataError
-from .ingest import _csv_head, _FloatMemo, _joined, _owned
+from .ingest import _csv_head, _FloatMemo, _joined, _owned, _set
 from .proximity import ProximityNetwork, _row_blocks
 
 FORMATS = ("dot", "graphml", "json", "csv", "svg")
@@ -49,8 +49,8 @@ class NetworkLayout:
     strength (ties broken lexicographically).  ``ring`` holds "inner" or
     "outer"; ``angle`` is in radians, counterclockwise from angle 0.  Each
     node array must have one entry per node, and both ends of every edge must
-    be nodes (DataError otherwise), so that every emitter draws every node
-    and every edge.
+    be nodes, so that every emitter draws every node and every edge; strength,
+    volume, angle and radius are read-only float64 copies (DataError otherwise).
     """
 
     mode: str
@@ -63,6 +63,12 @@ class NetworkLayout:
     edges: tuple[Edge, ...]  # (a, b, weight), a < b, sorted lexicographically
 
     def __post_init__(self) -> None:
+        for name in ("strength", "volume", "angle", "radius"):  # copies: the caller keeps theirs
+            try:
+                _set(self, name, np.array(getattr(self, name), dtype=np.float64))
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{name} must be numbers: {exc}") from None
+            getattr(self, name).setflags(write=False)
         n = len(self.nodes)
         uneven = [name for name in ("strength", "volume", "ring", "angle", "radius")
                   if np.shape(getattr(self, name)) != (n,)]
@@ -265,7 +271,7 @@ def _json_number(value: float) -> str:
 
 
 def _node_rows(layout: NetworkLayout) -> Iterator[tuple[str, float, float, str, float, float]]:
-    """(name, strength, volume, ring, angle, radius) of each node, numbers as Python scalars."""
+    """(name, strength, volume, ring, angle, radius) of each node, numbers as Python floats."""
     return zip(layout.nodes, layout.strength.tolist(), layout.volume.tolist(), layout.ring,
                layout.angle.tolist(), layout.radius.tolist())
 
@@ -303,8 +309,8 @@ def _emit_dot(layout: NetworkLayout) -> Iterator[str]:
     weight = _FloatMemo(float.__repr__)
     yield "graph proximity {\n"
     yield from _joined(
-        f"  {quoted[name]} [strength={float(s)!r}, volume={float(v)!r}, ring=\"{r}\", "
-        f"angle={float(t)!r}, radius={float(d)!r}];\n"
+        f"  {quoted[name]} [strength={s!r}, volume={v!r}, ring=\"{r}\", "
+        f"angle={t!r}, radius={d!r}];\n"
         for name, s, v, r, t, d in _node_rows(layout))
     yield from _joined(f"  {quoted[a]} -- {quoted[b]} [weight={weight[w]}];\n"
                        for a, b, w in layout.edges)
@@ -353,11 +359,11 @@ def _emit_graphml(layout: NetworkLayout) -> Iterator[str]:
     ])
     yield from _joined(
         f"    <node id={quoted[name]}>\n"
-        f'      <data key="d_strength">{float(s)!r}</data>\n'
-        f'      <data key="d_volume">{float(v)!r}</data>\n'
+        f'      <data key="d_strength">{s!r}</data>\n'
+        f'      <data key="d_volume">{v!r}</data>\n'
         f'      <data key="d_ring">{_xml_escape(r)}</data>\n'
-        f'      <data key="d_angle">{float(t)!r}</data>\n'
-        f'      <data key="d_radius">{float(d)!r}</data>\n'
+        f'      <data key="d_angle">{t!r}</data>\n'
+        f'      <data key="d_radius">{d!r}</data>\n'
         "    </node>\n"
         for name, s, v, r, t, d in _node_rows(layout))
     yield from _joined(

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError
-from .ingest import IndexKind, ProductionTable
+from .ingest import IndexKind, ProductionTable, _owned
 from .rca import AdvantageMatrix, RcaMatrix, compute_rca, diversity, threshold_advantage, ubiquity
 from .stats import (DistributionSummary, aligned_text, classify_skew, pearson, summarize,
                     summary_table_text)
@@ -45,16 +45,8 @@ def analyze_index(table: ProductionTable, quartile_rule: str = "linear") -> Inde
     rca = compute_rca(table)
     adv = threshold_advantage(rca)
     summary = summarize(rca.defined_values(), quartile_rule)
-    return IndexAnalysis(
-        kind=table.index_kind,
-        table=table,
-        rca=rca,
-        advantage=adv,
-        diversity=diversity(adv),
-        ubiquity=ubiquity(adv),
-        summary=summary,
-        skew_class=classify_skew(summary),
-    )
+    return _owned(IndexAnalysis, table.index_kind, table, rca, adv, diversity(adv), ubiquity(adv),
+                  summary, classify_skew(summary))
 
 
 def correlation_pairs(analyses: list[IndexAnalysis], joint_cells: bool = False) -> list[dict]:

@@ -129,7 +129,14 @@ def _results():
 
 RESULTS = {type(obj).__name__: obj for obj in _results()}
 #: The types whose public constructor stores read-only copies of its arrays.
-FREEZING = {"ProductionTable", "RcaMatrix", "AdvantageMatrix", "ProximityNetwork"}
+FREEZING = {"ProductionTable", "RcaMatrix", "AdvantageMatrix", "ProximityNetwork", "NetworkLayout"}
+
+
+def test_analysis_arrays_are_read_only():
+    """An analysis hands out no array that a caller could change under it."""
+    analysis = analyze_index(RESULTS["ProductionTable"])
+    for arr in (analysis.diversity, analysis.ubiquity, analysis.rca.values, analysis.advantage.m):
+        assert not arr.flags.writeable
 
 
 def _same(a, b) -> bool:

@@ -26,10 +26,13 @@ from rcaspace import (
 )
 from rcaspace import cli, netexport, proximity
 from rcaspace.demo import write_demo_dataset
-from rcaspace.netexport import PYTHON_LISTING_MAX_PAIRS
+from rcaspace.netexport import FORMATS, PYTHON_LISTING_MAX_PAIRS
 from rcaspace.proximity import MODES, proximity_csv_chunks, proximity_csv_text
 
 from .oracles import reference_backbone
+
+#: The node arrays a layout stores as read-only float64 copies.
+NODE_NUMBERS = ("strength", "volume", "angle", "radius")
 
 
 def net_from(weights, nodes=None, volumes=None, mode="fields"):
@@ -592,8 +595,34 @@ class TestBuildLayout:
         with pytest.raises(DataError, match=f"{name} must have one entry per node \\(2 nodes\\)"):
             dataclasses.replace(layout, **{name: getattr(layout, name)[:1]})
 
+    def test_node_numbers_are_read_only_copies(self):
+        layout = build_layout(triangle(), threshold=0.0)
+        mine = {name: getattr(layout, name).copy() for name in NODE_NUMBERS}
+        built = dataclasses.replace(layout, **mine)
+        for name, arr in mine.items():
+            stored = getattr(built, name)
+            assert stored.dtype == np.float64 and not stored.flags.writeable, name
+            assert arr.flags.writeable and not np.shares_memory(stored, arr), name
+
+    @pytest.mark.parametrize("bad", [["x", 1.0, 2.0], [object(), 1.0, 2.0],
+                                     [[1.0], [2.0, 3.0], 4.0]], ids=["text", "object", "ragged"])
+    def test_node_numbers_must_be_numbers(self, bad):
+        layout = build_layout(triangle(), threshold=0.0)
+        with pytest.raises(DataError, match="^radius must be numbers: "):
+            dataclasses.replace(layout, radius=bad)
+
 
 class TestEmit:
+    def test_layout_of_lists_emits_as_one_of_arrays(self):
+        # lists of floats, and of ints for the volumes, stored as float64 arrays
+        layout = build_layout(net_from([[1.0, 0.5, 0.2], [0.5, 1.0, 0.0], [0.2, 0.0, 1.0]],
+                                       volumes=[10.0, 20.0, 0.0]), threshold=0.0)
+        lists = {name: getattr(layout, name).tolist() for name in NODE_NUMBERS}
+        lists["volume"] = [int(v) for v in lists["volume"]]
+        twin = dataclasses.replace(layout, **lists)
+        for fmt in FORMATS:
+            assert emit(twin, fmt) == emit(layout, fmt), fmt
+
     def empty_layout(self):
         return build_layout(net_from(np.zeros((0, 0))))
 
