@@ -16,7 +16,9 @@ byte-identical output trees.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
+import shutil
 import sys
 import warnings as warnings_module
 from dataclasses import dataclass, field
@@ -259,16 +261,20 @@ def _print_top(names: tuple[str, ...], counts, label: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the width argparse takes when given none, read from the terminal once for all parsers
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = _Parser(
         prog="rcaspace",
         description="RCA analytics of country x field scientific production",
+        formatter_class=formatter,
     )
     parser.add_argument(
         "--version", action="version", version=f"rcaspace {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, spec in COMMANDS.items():
-        p = sub.add_parser(name, help=spec.help)
+        p = sub.add_parser(name, help=spec.help, formatter_class=formatter)
         if spec.modes is None:
             p.add_argument("mode", choices=list(MODES), help="node set of the network")
         if name != "demo":  # the demo writes its own manifest under --out

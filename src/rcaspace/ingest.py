@@ -102,26 +102,48 @@ _LABELS = frozenset(FIELD_LABELS.values())
 _set = object.__setattr__  # writes a slot of a frozen result
 
 
+def frozen(value, dtype, shape: tuple[int, ...], what: str, mismatch: str) -> np.ndarray:
+    """``value`` as a read-only, C-contiguous copy of ``dtype``, so that no caller
+    can change a result by writing to its own array; a bool array takes booleans
+    or numbers equal to 0 or 1.  DataError ``"<what> must be numbers: ..."`` when
+    numpy cannot convert ``value``, and ``mismatch`` (formatted with ``what``, the
+    copy's ``shape`` and the wanted ``want``) when the copy's shape is not ``shape``.
+    """
+    try:
+        arr = np.array(value, np.float64 if dtype is bool else dtype, order="C")
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{what} must be numbers: {exc}") from None
+    if arr.shape != shape:
+        raise DataError(mismatch.format(what=what, shape=arr.shape, want=shape))
+    if dtype is bool:
+        if not ((arr == 0.0) | (arr == 1.0)).all():  # NaN is neither
+            raise DataError(f"{what} must be booleans or numbers equal to 0 or 1")
+        arr = arr == 1.0
+    arr.setflags(write=False)
+    return arr
+
+
 def freeze_grid(obj, **dtypes) -> None:
     """Store ``obj``'s countries and fields as tuples, and each array named in
-    ``dtypes`` as a read-only, C-contiguous copy of that dtype with a row per
-    country and a column per field (DataError otherwise).
-
-    For the ``__post_init__`` of a frozen result dataclass: the one copy keeps
-    any caller from changing the object by writing to its own array.
-    """
-    countries, fields = tuple(obj.countries), tuple(obj.fields)
-    _set(obj, "countries", countries)
-    _set(obj, "fields", fields)
+    ``dtypes`` as the :func:`frozen` copy with a row per country and a column per field."""
+    for axis in ("countries", "fields"):
+        _set(obj, axis, tuple(getattr(obj, axis)))
     for name, dtype in dtypes.items():
-        arr = np.array(getattr(obj, name), dtype=dtype, order="C")
-        if arr.shape != (len(countries), len(fields)):
-            raise DataError(
-                f"{type(obj).__name__}.{name} shape {arr.shape} does not match "
-                f"{len(countries)} countries x {len(fields)} fields"
-            )
-        arr.setflags(write=False)
-        _set(obj, name, arr)
+        _set(obj, name, frozen(getattr(obj, name), dtype, (len(obj.countries), len(obj.fields)),
+                               f"{type(obj).__name__}.{name}",
+                               "{what} shape {shape} does not match {want[0]} countries x "
+                               "{want[1]} fields"))
+
+
+class _Result:
+    """The base of the seven result types: ``pickle``, ``copy.copy`` and ``copy.deepcopy``
+    rebuild a result through its public constructor, as ``dataclasses.replace`` does,
+    so each copy is checked and holds read-only arrays of its own."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
 
 def _owned(cls, *values):
@@ -141,7 +163,7 @@ def _owned(cls, *values):
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class ProductionTable:
+class ProductionTable(_Result):
     """A dense non-negative country x field matrix for one production index."""
 
     index_kind: IndexKind

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DataError
-from .ingest import _csv_head, _FloatMemo, _joined, _owned, _set
+from .ingest import _csv_head, _FloatMemo, frozen, _joined, _owned, _Result, _set
 from .proximity import ProximityNetwork, _row_blocks
 
 FORMATS = ("dot", "graphml", "json", "csv", "svg")
@@ -42,7 +42,7 @@ Edge = tuple[str, str, float]
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class NetworkLayout:
+class NetworkLayout(_Result):
     """A laid-out network: ring/angle/radius per node plus retained edges.
 
     Node arrays are aligned with ``nodes``, which is ordered by ascending
@@ -50,7 +50,8 @@ class NetworkLayout:
     "outer"; ``angle`` is in radians, counterclockwise from angle 0.  Each
     node array must have one entry per node, and both ends of every edge must
     be nodes, so that every emitter draws every node and every edge; strength,
-    volume, angle and radius are read-only float64 copies (DataError otherwise).
+    volume, angle and radius are read-only float64 copies and each edge weight
+    a float (DataError otherwise).
     """
 
     mode: str
@@ -63,17 +64,16 @@ class NetworkLayout:
     edges: tuple[Edge, ...]  # (a, b, weight), a < b, sorted lexicographically
 
     def __post_init__(self) -> None:
-        for name in ("strength", "volume", "angle", "radius"):  # copies: the caller keeps theirs
-            try:
-                _set(self, name, np.array(getattr(self, name), dtype=np.float64))
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{name} must be numbers: {exc}") from None
-            getattr(self, name).setflags(write=False)
         n = len(self.nodes)
-        uneven = [name for name in ("strength", "volume", "ring", "angle", "radius")
-                  if np.shape(getattr(self, name)) != (n,)]
-        if uneven:
-            raise DataError(f"{', '.join(uneven)} must have one entry per node ({n} nodes)")
+        for name in ("strength", "volume", "angle", "radius"):
+            _set(self, name, frozen(getattr(self, name), np.float64, (n,), name,
+                                    "{what} must have one entry per node ({want[0]} nodes)"))
+        if np.shape(self.ring) != (n,):
+            raise DataError(f"ring must have one entry per node ({n} nodes)")
+        try:
+            _set(self, "edges", tuple((a, b, float(w)) for a, b, w in self.edges))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"edges must be (a, b, weight) with a number weight: {exc}") from None
         strays = {end for a, b, _ in self.edges for end in (a, b)}.difference(self.nodes)
         if strays:
             raise DataError(f"edge end(s) not among the nodes: {sorted(strays)}")

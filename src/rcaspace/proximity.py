@@ -21,14 +21,15 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DataError
-from .ingest import _csv_head, _FloatMemo, BLOCK_ROWS, _long_csv_chunks, _owned
+from .ingest import (_csv_head, _FloatMemo, BLOCK_ROWS, frozen, _long_csv_chunks, _owned,
+                     _Result, _set)
 from .rca import AdvantageMatrix, diversity, ubiquity
 
 MODES = ("fields", "countries")
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class ProximityNetwork:
+class ProximityNetwork(_Result):
     """Symmetric weighted graph over fields or countries, weights in [0, 1].
 
     The constructor rejects a weight outside [0, 1] or NaN (``-0.0`` is in
@@ -45,33 +46,26 @@ class ProximityNetwork:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise DataError(f"unknown proximity mode {self.mode!r}")
-        for name in ("weights", "node_strength"):  # copies: the caller keeps theirs
-            object.__setattr__(self, name, np.array(getattr(self, name), np.float64, order="C"))
-        object.__setattr__(self, "nodes", tuple(self.nodes))
+        _set(self, "nodes", tuple(self.nodes))
         if len(set(self.nodes)) != len(self.nodes):
             raise DataError("duplicate node names")
         n = len(self.nodes)
-        shapes = self.weights.shape, self.node_strength.shape
-        if shapes != ((n, n), (n,)):
-            raise DataError(f"weights and node strength shapes {shapes} do not match {n} nodes")
+        for name, shape in (("weights", (n, n)), ("node_strength", (n,))):
+            _set(self, name, frozen(getattr(self, name), np.float64, shape, name.replace("_", " "),
+                                    "weights and node strength shapes do not match {want[0]} "
+                                    "nodes: {what} {shape}"))
         if not np.all((self.weights >= 0.0) & (self.weights <= 1.0)):  # NaN fails both
             raise DataError("proximity weights must be in [0, 1]")
         bits = self.weights.view(np.int64)  # so a -0.0 does not pass for its 0.0
         if not np.array_equal(bits, bits.T):
             raise DataError("proximity weights must be symmetric")
-        object.__setattr__(self, "node_volume", _node_volumes(self.node_volume, n))
-        for arr in (self.weights, self.node_strength, self.node_volume):
-            arr.setflags(write=False)
+        _set(self, "node_volume", _node_volumes(self.node_volume, n))
 
 
 def _node_volumes(values, n: int) -> np.ndarray:
-    """``values`` as a float64 copy: one finite, non-negative number per node."""
-    try:
-        volumes = np.array(values, dtype=np.float64)  # a copy: the caller keeps theirs
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"node volumes must be numbers: {exc}") from None
-    if volumes.shape != (n,):
-        raise DataError(f"node volumes shape {volumes.shape} does not match {n} nodes")
+    """``values`` as a :func:`frozen` float64 copy: one finite, non-negative number per node."""
+    volumes = frozen(values, np.float64, (n,), "node volumes",
+                     "{what} shape {shape} does not match {want[0]} nodes")
     if not all(0 <= v < np.inf for v in volumes.tolist()):  # NaN fails both
         raise DataError("node volumes must be finite and non-negative")
     return volumes

@@ -20,14 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, UndefinedCellWarning
-from .ingest import IndexKind, ProductionTable, _owned, freeze_grid
+from .ingest import IndexKind, ProductionTable, _owned, _Result, freeze_grid
 
 #: Comparative-advantage cutoff applied to RCA values (closed bound).
 ADVANTAGE_THRESHOLD = 1.0
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class RcaMatrix:
+class RcaMatrix(_Result):
     """Country x field RCA values plus the mask of well-defined cells."""
 
     index_kind: IndexKind
@@ -48,7 +48,7 @@ class RcaMatrix:
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class AdvantageMatrix:
+class AdvantageMatrix(_Result):
     """Binary country x field matrix: 1 where RCA >= 1 and defined."""
 
     countries: tuple[str, ...]

@@ -16,15 +16,16 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError
-from .ingest import IndexKind, ProductionTable, _owned
+from .ingest import IndexKind, ProductionTable, frozen, _owned, _Result, _set
 from .rca import AdvantageMatrix, RcaMatrix, compute_rca, diversity, threshold_advantage, ubiquity
 from .stats import (DistributionSummary, aligned_text, classify_skew, pearson, summarize,
                     summary_table_text)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class IndexAnalysis:
-    """Everything derived from one production table."""
+class IndexAnalysis(_Result):
+    """Everything derived from one production table: ``diversity`` has one
+    count per country of the table, ``ubiquity`` one per field."""
 
     kind: IndexKind
     table: ProductionTable
@@ -34,6 +35,12 @@ class IndexAnalysis:
     ubiquity: np.ndarray
     summary: DistributionSummary
     skew_class: str
+
+    def __post_init__(self) -> None:
+        for name, axis in (("diversity", "countries"), ("ubiquity", "fields")):
+            n = len(getattr(self.table, axis))
+            _set(self, name, frozen(getattr(self, name), np.int64, (n,), f"IndexAnalysis.{name}",
+                                    "{what} shape {shape} does not match {want[0]} " + axis))
 
 
 def analyze_index(table: ProductionTable, quartile_rule: str = "linear") -> IndexAnalysis:

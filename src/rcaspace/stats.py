@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
+from .ingest import _Result
 
 #: Quartile rules accepted by :func:`summarize` (numpy quantile methods).
 QUARTILE_RULES = (
@@ -42,7 +43,7 @@ SYMMETRY_TOLERANCE = 0.15
 
 
 @dataclass(frozen=True, slots=True)
-class DistributionSummary:
+class DistributionSummary(_Result):
     n: int
     minimum: float
     q1: float

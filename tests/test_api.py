@@ -129,7 +129,8 @@ def _results():
 
 RESULTS = {type(obj).__name__: obj for obj in _results()}
 #: The types whose public constructor stores read-only copies of its arrays.
-FREEZING = {"ProductionTable", "RcaMatrix", "AdvantageMatrix", "ProximityNetwork", "NetworkLayout"}
+FREEZING = {"ProductionTable", "RcaMatrix", "AdvantageMatrix", "ProximityNetwork", "NetworkLayout",
+            "IndexAnalysis"}
 
 
 def test_analysis_arrays_are_read_only():
@@ -137,6 +138,27 @@ def test_analysis_arrays_are_read_only():
     analysis = analyze_index(RESULTS["ProductionTable"])
     for arr in (analysis.diversity, analysis.ubiquity, analysis.rca.values, analysis.advantage.m):
         assert not arr.flags.writeable
+
+
+def test_analysis_constructor_stores_read_only_copies():
+    """``IndexAnalysis(...)`` keeps no array of the caller's, and takes one
+    diversity count per country and one ubiquity count per field."""
+    analysis = RESULTS["IndexAnalysis"]
+    mine = {"diversity": analysis.diversity.copy(), "ubiquity": analysis.ubiquity.tolist()}
+    built = dataclasses.replace(analysis, **mine)
+    for name, theirs in mine.items():
+        stored = getattr(built, name)
+        assert stored.dtype == np.int64 and not stored.flags.writeable, name
+        assert np.array_equal(stored, getattr(analysis, name)), name
+        assert not np.shares_memory(stored, theirs), name
+    with pytest.raises(rcaspace.DataError,
+                       match=r"^IndexAnalysis\.diversity shape \(3,\) does not match 2 countries$"):
+        dataclasses.replace(analysis, diversity=[1, 0, 2])
+    with pytest.raises(rcaspace.DataError,
+                       match=r"^IndexAnalysis\.ubiquity shape \(2,\) does not match 3 fields$"):
+        dataclasses.replace(analysis, ubiquity=[1, 0])
+    with pytest.raises(rcaspace.DataError, match=r"^IndexAnalysis\.diversity must be numbers: "):
+        dataclasses.replace(analysis, diversity=["x", 0])
 
 
 def _same(a, b) -> bool:
@@ -174,6 +196,47 @@ def test_results_are_slotted_and_frozen(name, path):
     for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), dataclasses.replace(obj)):
         assert type(twin) is cls and not hasattr(twin, "__dict__")
         assert _same(twin, obj)
+
+
+COPIES = {
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+    "deepcopy": copy.deepcopy,
+    "copy": copy.copy,
+}
+
+
+def _owned_writeable(name: str, **changes):
+    """``RESULTS[name]`` with ``changes``, built as the library builds a result
+    (``_owned``, no check) and then handed writeable arrays."""
+    cls = type(RESULTS[name])
+    values = {f.name: getattr(RESULTS[name], f.name) for f in dataclasses.fields(cls)}
+    values.update(changes)
+    obj = _owned(cls, *values.values())
+    for key, value in values.items():
+        if isinstance(value, np.ndarray):
+            object.__setattr__(obj, key, value.copy())
+    return obj
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+@pytest.mark.parametrize("name", sorted(RESULTS))
+def test_copies_are_checked_and_read_only(name, how):
+    """pickle, deepcopy and copy rebuild a result through its public constructor:
+    the copy has equal fields and read-only arrays of its own, and a result
+    holding a value its constructor rejects cannot be copied."""
+    obj = _owned_writeable(name)
+    twin = COPIES[how](obj)
+    assert type(twin) is type(obj) and not hasattr(twin, "__dict__")
+    assert _same(twin, obj)
+    for f in dataclasses.fields(twin):
+        arr, theirs = getattr(twin, f.name), getattr(obj, f.name)
+        if isinstance(arr, np.ndarray):
+            assert not arr.flags.writeable and not np.shares_memory(arr, theirs), f.name
+    fields = [f.name for f in dataclasses.fields(obj)]
+    spoiled = next((k for k in fields if isinstance(getattr(obj, k), np.ndarray)), "n")
+    bad = _owned_writeable(name, **{spoiled: 0 if spoiled == "n" else np.zeros(0)})
+    with pytest.raises(rcaspace.DataError):
+        COPIES[how](bad)
 
 
 def test_readme_library_example_runs():

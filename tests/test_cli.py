@@ -1,6 +1,8 @@
+import argparse
 import builtins
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -461,6 +463,18 @@ class TestErrorContract:
         with pytest.raises(SystemExit) as exc:
             main(["network", "fields", "--manifest", "m.json", "--format", "pdf"])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("columns", ["60", "200"])
+    def test_parser_reads_the_terminal_size_once(self, monkeypatch, columns):
+        # every parser's help is what argparse writes when left to read the width itself
+        monkeypatch.setenv("COLUMNS", columns)
+        with mock.patch.object(shutil, "get_terminal_size", wraps=shutil.get_terminal_size) as size:
+            parser = cli.build_parser()
+        assert size.call_count == 1
+        for p in [parser, *parser._subparsers._group_actions[0].choices.values()]:
+            ours = p.format_help()
+            p.formatter_class = argparse.HelpFormatter
+            assert p.format_help() == ours, p.prog
 
     def test_version_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

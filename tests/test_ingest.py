@@ -403,6 +403,34 @@ def test_stored_arrays_are_frozen_copies(cls, scalars, arrays):
         assert np.array_equal(stored, before), name
 
 
+@pytest.mark.parametrize("bad", [[[object()]], [["x"]]], ids=["object", "text"])
+@pytest.mark.parametrize("build, what", [
+    pytest.param(lambda v: ProductionTable(IndexKind.DOCUMENTS, ("A",), ("X",), v),
+                 "ProductionTable.values", id="ProductionTable"),
+    pytest.param(lambda v: RcaMatrix(IndexKind.DOCUMENTS, ("A",), ("X",), v, [[True]]),
+                 "RcaMatrix.values", id="RcaMatrix"),
+    pytest.param(lambda v: ProximityNetwork("fields", ("a",), v, [0.0], [1.0]),
+                 "weights", id="ProximityNetwork"),
+])
+def test_values_that_are_not_numbers_are_data_errors(build, what, bad):
+    with pytest.raises(DataError, match=f"^{what} must be numbers: "):
+        build(bad)
+
+
+@pytest.mark.parametrize("cls, field", [(AdvantageMatrix, "m"), (RcaMatrix, "defined_mask")])
+def test_bool_fields_take_zero_or_one(cls, field):
+    """A bool array takes booleans or numbers equal to 0 or 1, and nothing else."""
+    def build(row):
+        rca = {"index_kind": IndexKind.DOCUMENTS, "values": [[1.0] * 5]} if cls is RcaMatrix else {}
+        return cls(countries=("A",), fields=tuple("VWXYZ"), **rca, **{field: [row]})
+
+    stored = getattr(build([True, 0, 1.0, np.float32(0), np.int8(1)]), field)
+    assert stored.dtype == bool and stored.tolist() == [[True, False, True, False, True]]
+    for bad in (2, -1, 0.5, np.nan, "x", None):
+        with pytest.raises(DataError, match=f"^{cls.__name__}.{field} must be "):
+            build([bad, 0, 0, 0, 0])
+
+
 @pytest.mark.parametrize("arrays", [
     pytest.param({"values": np.zeros((2, 1)), "defined_mask": np.ones((2, 2), bool)}, id="values"),
     pytest.param({"values": np.zeros((2, 2)), "defined_mask": np.ones(4, bool)}, id="defined_mask"),

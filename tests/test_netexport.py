@@ -612,6 +612,22 @@ class TestBuildLayout:
             dataclasses.replace(layout, radius=bad)
 
 
+    @pytest.mark.parametrize("bad", ["x", None, object()], ids=["text", "none", "object"])
+    def test_edge_weights_must_be_numbers(self, bad):
+        layout = build_layout(triangle(), threshold=0.0)
+        with pytest.raises(DataError, match=r"^edges must be \(a, b, weight\) with a number "):
+            dataclasses.replace(layout, edges=(("A", "B", bad),))
+
+    def test_edge_weights_are_stored_as_floats(self):
+        layout = build_layout(triangle(), threshold=0.0)
+        scalars = [[a, b, np.float64(w)] for a, b, w in layout.edges]
+        built = dataclasses.replace(layout, edges=scalars)
+        assert built.edges == layout.edges
+        assert all(type(w) is float for _, _, w in built.edges)
+        for fmt in FORMATS:
+            assert emit(built, fmt) == emit(layout, fmt), fmt
+
+
 class TestEmit:
     def test_layout_of_lists_emits_as_one_of_arrays(self):
         # lists of floats, and of ints for the volumes, stored as float64 arrays
