@@ -7,10 +7,12 @@ digest, so the tool can be exercised with zero external data.
 
 Exit codes: 0 success, 2 I/O failure, 3 data validation failure or an input too
 large to hold in memory, 64 usage.
-Writes stream: each file is written a block of rows at a time, and is never
-held whole.  Each is still replaced atomically (temp file + rename), but a run
-is not: one that fails keeps the files it wrote before the failure.  Outputs
-contain no timestamps, so identical inputs and configuration produce
+Writes stream: each file is written a block of rows at a time, never held whole,
+into a stage (a ``.rcaspace-*`` directory inside ``--out``), and all of them are
+moved into ``--out`` only once all are written.  A run that fails adds, changes
+and removes no file under ``--out``, though it may leave an empty ``--out`` it
+made; a killed run may leave its stage.  Files of earlier runs are never removed.
+Outputs contain no timestamps, so identical inputs and configuration produce
 byte-identical output trees.
 """
 from __future__ import annotations
@@ -20,6 +22,7 @@ import functools
 import os
 import shutil
 import sys
+import tempfile
 import warnings as warnings_module
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -78,21 +81,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_bytes(path: Path, chunks: Iterable[str]) -> None:
-    """Atomic write of text ``chunks``, each UTF-8-encoded as it comes: temp
-    file in the target directory, then rename.  The temp file is made as
-    ``open(path, "w")`` makes a file, with mode 0o666 less the umask, which
-    the rename keeps."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.writelines(chunk.encode("utf-8") for chunk in chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write text ``chunks`` to ``path``, each UTF-8-encoded as it comes, with mode
+    0o666 less the umask, as ``open(path, "w")`` makes a file."""
+    with open(path, "wb") as fh:
+        fh.writelines(chunk.encode("utf-8") for chunk in chunks)
 
 
 @dataclass
@@ -175,45 +167,55 @@ COMMANDS = {
 
 def _write_artifacts(cfg: RunConfig, data: _LoadedDataset, command: str,
                      mode: str | None) -> tuple[list[str], AnalysisReport | None]:
-    """Write what ``COMMANDS[command]`` declares, each artifact as it is made.
+    """Write what ``COMMANDS[command]`` declares into a stage, then move it into ``cfg.out``.
 
     Returns the names and the report the summaries were written from, if any.
     """
     spec = COMMANDS[command]
     written = []
     report = None
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".rcaspace-", dir=cfg.out))  # one filesystem
 
     def write(name: str, chunks: Iterable[str]) -> None:
-        _write_bytes(cfg.out / name, chunks)
+        _write_bytes(stage / name, chunks)
         written.append(name)
 
-    # The *_chunks writers, not their joined *_text and emit forms, so no file is held whole.
-    if spec.matrices:
-        for a in data.analyses:
-            grid = a.rca.countries, a.rca.fields  # the advantage matrix's too
-            write(f"rca_{a.kind.value}.csv", matrix_csv_chunks(*grid, a.rca.values))
-            write(f"advantage_{a.kind.value}.csv", matrix_csv_chunks(*grid, a.advantage.m))
-    for m in (mode,) if spec.modes is None else spec.modes:
-        for a in data.analyses:
-            net = proximity_network(a, m)
-            if spec.proximity:
-                write(f"proximity_{m}_{a.kind.value}.csv", proximity_csv_chunks(net))
-            layout = build_layout(net, cfg.threshold)
-            for fmt in cfg.formats:
-                write(f"network_{m}_{a.kind.value}.{fmt}", emit_chunks(layout, fmt))
-    if spec.summaries:
-        report = build_report(
-            dataset_name=data.dataset_name,
-            period=data.period,
-            analyses=data.analyses,
-            config=cfg.as_dict(),
-            inputs=data.inputs,
-            proximity_exports=[n for n in written if n.startswith("proximity_")],
-            warnings_seen=data.warnings,
-            joint_cells=cfg.joint_cells,
-        )
-        for name in spec.summaries:
-            write(name, [report.to_json() if name.endswith(".json") else report.to_text()])
+    try:
+        # The *_chunks writers, not their joined *_text and emit forms, so no file is held whole.
+        if spec.matrices:
+            for a in data.analyses:
+                grid = a.rca.countries, a.rca.fields  # the advantage matrix's too
+                write(f"rca_{a.kind.value}.csv", matrix_csv_chunks(*grid, a.rca.values))
+                write(f"advantage_{a.kind.value}.csv", matrix_csv_chunks(*grid, a.advantage.m))
+        for m in (mode,) if spec.modes is None else spec.modes:
+            for a in data.analyses:
+                net = proximity_network(a, m)
+                if spec.proximity:
+                    write(f"proximity_{m}_{a.kind.value}.csv", proximity_csv_chunks(net))
+                layout = build_layout(net, cfg.threshold)
+                for fmt in cfg.formats:
+                    write(f"network_{m}_{a.kind.value}.{fmt}", emit_chunks(layout, fmt))
+        if spec.summaries:
+            report = build_report(
+                dataset_name=data.dataset_name,
+                period=data.period,
+                analyses=data.analyses,
+                config=cfg.as_dict(),
+                inputs=data.inputs,
+                proximity_exports=[n for n in written if n.startswith("proximity_")],
+                warnings_seen=data.warnings,
+                joint_cells=cfg.joint_cells,
+            )
+            for name in spec.summaries:
+                write(name, [report.to_json() if name.endswith(".json") else report.to_text()])
+        # a file cannot replace a directory: refuse before the first file is moved
+        if clash := [str(cfg.out / n) for n in written if (cfg.out / n).is_dir()]:
+            raise IsADirectoryError(f"a file cannot replace a directory: {', '.join(clash)}")
+        for name in written:
+            os.replace(stage / name, cfg.out / name)
+    finally:
+        shutil.rmtree(stage)
     return written, report
 
 

@@ -105,12 +105,13 @@ _set = object.__setattr__  # writes a slot of a frozen result
 def frozen(value, dtype, shape: tuple[int, ...], what: str, mismatch: str) -> np.ndarray:
     """``value`` as a read-only, C-contiguous copy of ``dtype``, so that no caller
     can change a result by writing to its own array; a bool array takes booleans
-    or numbers equal to 0 or 1.  DataError ``"<what> must be numbers: ..."`` when
-    numpy cannot convert ``value``, and ``mismatch`` (formatted with ``what``, the
-    copy's ``shape`` and the wanted ``want``) when the copy's shape is not ``shape``.
+    or numbers equal to 0 or 1, and an int64 array (a count) whole numbers >= 0.
+    DataError ``"<what> must be numbers: ..."`` when numpy cannot convert ``value``,
+    and ``mismatch`` (formatted with ``what``, the copy's ``shape`` and the wanted
+    ``want``) when the copy's shape is not ``shape``.
     """
-    try:
-        arr = np.array(value, np.float64 if dtype is bool else dtype, order="C")
+    try:  # bools and counts too are read as floats first, so that no cast truncates a value
+        arr = np.array(value, np.float64, order="C")
     except (TypeError, ValueError) as exc:
         raise DataError(f"{what} must be numbers: {exc}") from None
     if arr.shape != shape:
@@ -119,6 +120,10 @@ def frozen(value, dtype, shape: tuple[int, ...], what: str, mismatch: str) -> np
         if not ((arr == 0.0) | (arr == 1.0)).all():  # NaN is neither
             raise DataError(f"{what} must be booleans or numbers equal to 0 or 1")
         arr = arr == 1.0
+    elif dtype is np.int64:
+        if not ((arr >= 0.0) & (arr < 2.0**63) & (arr == np.floor(arr))).all():  # NaN fails all
+            raise DataError(f"{what} must be whole numbers >= 0")
+        arr = arr.astype(np.int64)
     arr.setflags(write=False)
     return arr
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,8 +50,8 @@ class NetworkLayout(_Result):
     "outer"; ``angle`` is in radians, counterclockwise from angle 0.  Each
     node array must have one entry per node, and both ends of every edge must
     be nodes, so that every emitter draws every node and every edge; strength,
-    volume, angle and radius are read-only float64 copies and each edge weight
-    a float (DataError otherwise).
+    volume, angle and radius are read-only float64 copies, ring a tuple and each
+    edge weight a float (DataError otherwise).
     """
 
     mode: str
@@ -68,8 +68,11 @@ class NetworkLayout(_Result):
         for name in ("strength", "volume", "angle", "radius"):
             _set(self, name, frozen(getattr(self, name), np.float64, (n,), name,
                                     "{what} must have one entry per node ({want[0]} nodes)"))
-        if np.shape(self.ring) != (n,):
+        if not isinstance(self.ring, Iterable) or len(ring := tuple(self.ring)) != n:
             raise DataError(f"ring must have one entry per node ({n} nodes)")
+        if bad := [r for r in ring if not (isinstance(r, str) and r in ("inner", "outer"))]:
+            raise DataError(f'ring entries must be "inner" or "outer", got {bad[0]!r}')
+        _set(self, "ring", ring)
         try:
             _set(self, "edges", tuple((a, b, float(w)) for a, b, w in self.edges))
         except (TypeError, ValueError) as exc:
@@ -283,7 +286,7 @@ def _emit_json(layout: NetworkLayout) -> Iterator[str]:
     yield '{"nodes":['
     yield from _joined((
         f'{{"id":{quoted[name]},"strength":{number(s)},"volume":{number(v)},'
-        f'"ring":{encode_basestring_ascii(r)},"angle":{number(t)},"radius":{number(d)}}}'
+        f'"ring":"{r}","angle":{number(t)},"radius":{number(d)}}}'
         for name, s, v, r, t, d in _node_rows(layout)), ",")
     yield '],"edges":['
     weight = _FloatMemo(_json_number)
@@ -361,7 +364,7 @@ def _emit_graphml(layout: NetworkLayout) -> Iterator[str]:
         f"    <node id={quoted[name]}>\n"
         f'      <data key="d_strength">{s!r}</data>\n'
         f'      <data key="d_volume">{v!r}</data>\n'
-        f'      <data key="d_ring">{_xml_escape(r)}</data>\n'
+        f'      <data key="d_ring">{r}</data>\n'
         f'      <data key="d_angle">{t!r}</data>\n'
         f'      <data key="d_radius">{d!r}</data>\n'
         "    </node>\n"

@@ -161,6 +161,19 @@ def test_analysis_constructor_stores_read_only_copies():
         dataclasses.replace(analysis, diversity=["x", 0])
 
 
+@pytest.mark.parametrize("count", [1.5, -2.7, -1, float("nan"), float("inf"), 2**63],
+                         ids=["fractional", "negative-fractional", "negative", "nan", "inf",
+                              "too-large"])
+def test_analysis_counts_are_whole_numbers_at_least_zero(count):
+    """A diversity or ubiquity count that no int64 holds exactly is refused, not truncated."""
+    analysis = RESULTS["IndexAnalysis"]
+    for name in ("diversity", "ubiquity"):
+        counts = [*getattr(analysis, name).tolist()[1:], count]
+        with pytest.raises(rcaspace.DataError,
+                           match=rf"^IndexAnalysis\.{name} must be whole numbers >= 0$"):
+            dataclasses.replace(analysis, **{name: counts})
+
+
 def _same(a, b) -> bool:
     """Equal field by field, arrays in dtype and value, nested results too."""
     if dataclasses.is_dataclass(a):

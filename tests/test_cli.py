@@ -405,13 +405,48 @@ class TestErrorContract:
         pytest.param(_FailsAfterFirstChunk(), os.replace, id="stream-fails-midway"),
     ])
     def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, data, replace):
-        target = tmp_path / "report.json"
-        target.write_bytes(b"old")
-        with mock.patch.object(os, "replace", replace), \
+        # a report run whose own report.json is written from ``data``: the fault
+        # comes after every other artifact is written, and none of them is kept
+        manifest = write_dataset(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report.json").write_bytes(b"old")
+        write_bytes = cli._write_bytes
+
+        def faulty(path, chunks):
+            write_bytes(path, data if path.name == "report.json" else chunks)
+
+        with mock.patch.object(cli, "_write_bytes", faulty), \
+                mock.patch.object(os, "replace", replace), \
                 pytest.raises((UnicodeEncodeError, OSError)):
-            cli._write_bytes(target, data)
-        assert target.read_bytes() == b"old"
-        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+            cli.run(cli.RunConfig(manifest=manifest, out=out), "report")
+        assert [p.name for p in out.iterdir()] == ["report.json"]
+        assert (out / "report.json").read_bytes() == b"old"
+
+    @pytest.mark.parametrize("command", ["report", "network countries"])
+    def test_directory_in_the_way_fails_the_run_and_changes_nothing(self, tmp_path, capsys,
+                                                                    command):
+        manifest = write_dataset(tmp_path)
+        out = tmp_path / "out"
+        (out / "network_countries_h_index.json").mkdir(parents=True)
+        (out / "report.json").mkdir()
+        (out / "rca_documents.csv").write_bytes(b"old")
+        before = sorted(str(p.relative_to(out)) for p in out.rglob("*"))
+        code = main([*command.split(), "--manifest", str(manifest), "--out", str(out)])
+        assert code == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rcaspace: error: ")
+        assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == before
+        assert (out / "rca_documents.csv").read_bytes() == b"old"
+
+    def test_failed_run_leaves_an_empty_out_it_made(self, tmp_path, monkeypatch):
+        # the out-of-memory backstop fires after --out is made and the matrices are staged
+        monkeypatch.setattr(cli, "proximity_network", mock.Mock(side_effect=MemoryError("x")))
+        out = tmp_path / "a" / "out"
+        code = main(["report", "--manifest", str(write_dataset(tmp_path)), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert list(out.iterdir()) == []
 
     def test_table_error_names_file_and_line(self, tmp_path, capsys):
         manifest = write_dataset(tmp_path, {

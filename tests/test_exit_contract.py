@@ -5,7 +5,9 @@ Whatever the manifest, the tables and the options, a run ends in exit 0
 escapes ``main``.  The inputs mix broken and deeply nested manifests, bad
 UTF-8 and a byte order mark, NUL and other odd table paths, ragged rows,
 NaN, infinities and magnitudes from 5e-324 to 1e308, bare carriage returns
-and bad option values.
+and bad option values.  Now and then ``--out`` already holds an old file and a
+directory named like one of the command's artifacts; a run that fails leaves
+every file under ``--out`` as it was, and no run leaves its stage behind.
 """
 import contextlib
 import csv
@@ -40,6 +42,15 @@ BAD_OPTIONS = (("--threshold", "nan"), ("--threshold", "-1"), ("--threshold", "x
                ("--quartile-rule", "bogus"), ("--format", "pdf"), ("--index", "bogus"),
                ("--frobnicate",), ("--index", "citations"))
 COMMANDS = ("rca", "proximity fields", "network countries", "stats", "report")
+#: Names of what each command writes, for the last index kind of the manifest (always analyzed).
+ARTIFACTS = {
+    "rca": ("rca_{}.csv", "advantage_{}.csv", "rca_summary.json"),
+    "proximity fields": ("proximity_fields_{}.csv", "network_fields_{}.json",
+                         "proximity_summary.json"),
+    "network countries": ("network_countries_{}.json", "network_countries_{}.svg"),
+    "stats": ("stats.json", "stats.txt"),
+    "report": ("report.json", "report.txt", "rca_{}.csv", "network_countries_{}.svg"),
+}
 
 
 @st.composite
@@ -102,29 +113,47 @@ def runs(draw):
         options.append(("--index", kinds[-1]))
     if draw(st.integers(0, 7)) == 0:
         options.insert(draw(st.integers(0, len(options))), draw(st.sampled_from(BAD_OPTIONS)))
-    return (draw(manifests(kinds)), {k: draw(tables()) for k in kinds},
-            draw(st.sampled_from(COMMANDS)), [arg for option in options for arg in option])
+    command = draw(st.sampled_from(COMMANDS))
+    # an old file and a directory in the way of an artifact, one in four runs
+    old = draw(st.permutations(ARTIFACTS[command]))[:2] if draw(st.integers(0, 3)) == 0 else ()
+    return (draw(manifests(kinds)), {k: draw(tables()) for k in kinds}, command,
+            [arg for option in options for arg in option], [n.format(kinds[-1]) for n in old])
+
+
+def files_under(out: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(runs())
 def test_every_run_ends_in_a_contract_exit_code(run):
-    manifest_bytes, table_bytes, command, options = run
+    manifest_bytes, table_bytes, command, options, old = run
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch)
         (root / "manifest.json").write_bytes(manifest_bytes)
         for kind, data in table_bytes.items():
             (root / f"{kind}.csv").write_bytes(data)
+        out = root / "out"
+        if old:
+            (out / old[0]).mkdir(parents=True)
+            (out / old[1]).write_bytes(b"old")
+        before = files_under(out)
         argv = [*command.split(), "--manifest", str(root / "manifest.json"),
-                "--out", str(root / "out"), *options]
+                "--out", str(out), *options]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse's usage errors, --help and --version
                 code = exc.code
+        after = files_under(out)
+        stages = list(out.glob(".rcaspace-*"))
     event(f"exit {code}")
+    event(f"directory in the way: {bool(old)}")
     assert code in (EXIT_OK, EXIT_IO, EXIT_DATA, EXIT_USAGE), stderr.getvalue()
     assert "Traceback" not in stderr.getvalue()
     if code == EXIT_DATA:
         assert stderr.getvalue().startswith("rcaspace: error: ")
+    assert not stages
+    if code != EXIT_OK:
+        assert after == before, stderr.getvalue()

@@ -612,6 +612,25 @@ class TestBuildLayout:
             dataclasses.replace(layout, radius=bad)
 
 
+    @pytest.mark.parametrize("ring, cause", [
+        ((("inner",), "outer", "outer"), "got ('inner',)"),
+        (("inner", "middle", "outer"), "got 'middle'"),
+        (("inner", 3, None), "got 3"),
+        (["inner", ["outer"], "outer"], "got ['outer']"),
+    ], ids=["ragged", "unknown-ring", "not-text", "list-entry"])
+    def test_ring_entries_must_be_inner_or_outer(self, ring, cause):
+        layout = build_layout(triangle(), threshold=0.0)
+        with pytest.raises(DataError, match=r'^ring entries must be "inner" or "outer", ') as exc:
+            dataclasses.replace(layout, ring=ring)
+        assert str(exc.value).endswith(cause)
+
+    def test_ring_is_stored_as_a_tuple(self):
+        layout = build_layout(triangle(), threshold=0.0)
+        built = dataclasses.replace(layout, ring=list(layout.ring))
+        assert built.ring == layout.ring and type(built.ring) is tuple
+        for fmt in FORMATS:
+            assert emit(built, fmt) == emit(layout, fmt), fmt
+
     @pytest.mark.parametrize("bad", ["x", None, object()], ids=["text", "none", "object"])
     def test_edge_weights_must_be_numbers(self, bad):
         layout = build_layout(triangle(), threshold=0.0)

@@ -73,7 +73,7 @@ def layouts(draw):
         edges = [(a, b, np.float64(w)) for a, b, w in edges]
     return NetworkLayout(
         mode="fields", nodes=nodes, strength=columns[0], volume=columns[1],
-        ring=tuple(draw(st.lists(st.sampled_from(("inner", "outer", 'a"&<')),
+        ring=tuple(draw(st.lists(st.sampled_from(("inner", "outer")),
                                  min_size=n, max_size=n))),
         angle=angle, radius=columns[2], edges=tuple(sorted(edges)),
     )
