@@ -28,7 +28,7 @@ import os
 import types
 import unicodedata
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from operator import add
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
@@ -57,7 +57,7 @@ class IndexKind(enum.Enum):
                 f"unknown index kind {text!r} (expected one of: {valid})"
             ) from None
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return self.value
 
 
@@ -105,12 +105,11 @@ _set = object.__setattr__  # writes a slot of a frozen result
 def frozen(value, dtype, shape: tuple[int, ...], what: str, mismatch: str) -> np.ndarray:
     """``value`` as a read-only, C-contiguous copy of ``dtype``, so that no caller
     can change a result by writing to its own array; a bool array takes booleans
-    or numbers equal to 0 or 1, and an int64 array (a count) whole numbers >= 0.
-    DataError ``"<what> must be numbers: ..."`` when numpy cannot convert ``value``,
-    and ``mismatch`` (formatted with ``what``, the copy's ``shape`` and the wanted
-    ``want``) when the copy's shape is not ``shape``.
+    or numbers equal to 0 or 1.  DataError ``"<what> must be numbers: ..."`` when
+    numpy cannot convert ``value``, and ``mismatch`` (formatted with ``what``, the
+    copy's ``shape`` and the wanted ``want``) when the copy's shape is not ``shape``.
     """
-    try:  # bools and counts too are read as floats first, so that no cast truncates a value
+    try:  # bools too are read as floats first, so that no cast truncates a value
         arr = np.array(value, np.float64, order="C")
     except (TypeError, ValueError) as exc:
         raise DataError(f"{what} must be numbers: {exc}") from None
@@ -120,10 +119,6 @@ def frozen(value, dtype, shape: tuple[int, ...], what: str, mismatch: str) -> np
         if not ((arr == 0.0) | (arr == 1.0)).all():  # NaN is neither
             raise DataError(f"{what} must be booleans or numbers equal to 0 or 1")
         arr = arr == 1.0
-    elif dtype is np.int64:
-        if not ((arr >= 0.0) & (arr < 2.0**63) & (arr == np.floor(arr))).all():  # NaN fails all
-            raise DataError(f"{what} must be whole numbers >= 0")
-        arr = arr.astype(np.int64)
     arr.setflags(write=False)
     return arr
 
@@ -142,13 +137,13 @@ def freeze_grid(obj, **dtypes) -> None:
 
 class _Result:
     """The base of the seven result types: ``pickle``, ``copy.copy`` and ``copy.deepcopy``
-    rebuild a result through its public constructor, as ``dataclasses.replace`` does,
-    so each copy is checked and holds read-only arrays of its own."""
+    rebuild a result from its ``init`` fields through its public constructor, as
+    ``dataclasses.replace`` does, so each copy is checked and holds read-only arrays of its own."""
 
     __slots__ = ()
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
+        return type(self), tuple(getattr(self, f.name) for f in dataclass_fields(self) if f.init)
 
 
 def _owned(cls, *values):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError
-from .ingest import IndexKind, ProductionTable, frozen, _owned, _Result, _set
+from .ingest import IndexKind, ProductionTable, _Result, _set
 from .rca import AdvantageMatrix, RcaMatrix, compute_rca, diversity, threshold_advantage, ubiquity
 from .stats import (DistributionSummary, aligned_text, classify_skew, pearson, summarize,
                     summary_table_text)
@@ -24,36 +24,39 @@ from .stats import (DistributionSummary, aligned_text, classify_skew, pearson, s
 
 @dataclass(frozen=True, eq=False, slots=True)
 class IndexAnalysis(_Result):
-    """Everything derived from one production table: ``diversity`` has one
-    count per country of the table, ``ubiquity`` one per field."""
+    """The RCA pipeline run on ``table``, each part computed from it: ``rca``, the RCA >= 1
+    ``advantage`` matrix, its row and column sums ``diversity`` and ``ubiquity`` (int64), and
+    the ``summary`` by ``quartile_rule`` of the defined RCA cells, zeros included.  ``kind`` is
+    the table's index kind.  ``dataclasses.replace`` of a computed part raises ValueError."""
 
-    kind: IndexKind
     table: ProductionTable
-    rca: RcaMatrix
-    advantage: AdvantageMatrix
-    diversity: np.ndarray
-    ubiquity: np.ndarray
-    summary: DistributionSummary
-    skew_class: str
+    quartile_rule: str = "linear"
+    rca: RcaMatrix = field(init=False)
+    advantage: AdvantageMatrix = field(init=False)
+    diversity: np.ndarray = field(init=False)
+    ubiquity: np.ndarray = field(init=False)
+    summary: DistributionSummary = field(init=False)
+    skew_class: str = field(init=False)
 
     def __post_init__(self) -> None:
-        for name, axis in (("diversity", "countries"), ("ubiquity", "fields")):
-            n = len(getattr(self.table, axis))
-            _set(self, name, frozen(getattr(self, name), np.int64, (n,), f"IndexAnalysis.{name}",
-                                    "{what} shape {shape} does not match {want[0]} " + axis))
+        if not isinstance(self.table, ProductionTable):
+            raise DataError("IndexAnalysis.table must be a ProductionTable")
+        _set(self, "rca", compute_rca(self.table))
+        _set(self, "advantage", threshold_advantage(self.rca))
+        _set(self, "summary", summarize(self.rca.defined_values(), self.quartile_rule))
+        for name, counts in (("diversity", diversity), ("ubiquity", ubiquity)):
+            _set(self, name, arr := counts(self.advantage))
+            arr.setflags(write=False)
+        _set(self, "skew_class", classify_skew(self.summary))
+
+    @property
+    def kind(self) -> IndexKind:
+        return self.table.index_kind
 
 
 def analyze_index(table: ProductionTable, quartile_rule: str = "linear") -> IndexAnalysis:
-    """Run the RCA pipeline for one table.
-
-    The distribution summary covers every defined RCA cell, zeros included;
-    undefined cells (zero country or field total) are excluded.
-    """
-    rca = compute_rca(table)
-    adv = threshold_advantage(rca)
-    summary = summarize(rca.defined_values(), quartile_rule)
-    return _owned(IndexAnalysis, table.index_kind, table, rca, adv, diversity(adv), ubiquity(adv),
-                  summary, classify_skew(summary))
+    """The RCA pipeline for one table: ``IndexAnalysis(table, quartile_rule)``."""
+    return IndexAnalysis(table, quartile_rule)
 
 
 def correlation_pairs(analyses: list[IndexAnalysis], joint_cells: bool = False) -> list[dict]:

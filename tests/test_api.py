@@ -11,10 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import rcaspace
 from rcaspace.ingest import _owned
-from rcaspace.report import analyze_index
+from rcaspace.report import IndexAnalysis, analyze_index
+from rcaspace.stats import QUARTILE_RULES, classify_skew
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -141,37 +145,86 @@ def test_analysis_arrays_are_read_only():
 
 
 def test_analysis_constructor_stores_read_only_copies():
-    """``IndexAnalysis(...)`` keeps no array of the caller's, and takes one
-    diversity count per country and one ubiquity count per field."""
-    analysis = RESULTS["IndexAnalysis"]
-    mine = {"diversity": analysis.diversity.copy(), "ubiquity": analysis.ubiquity.tolist()}
-    built = dataclasses.replace(analysis, **mine)
-    for name, theirs in mine.items():
-        stored = getattr(built, name)
-        assert stored.dtype == np.int64 and not stored.flags.writeable, name
-        assert np.array_equal(stored, getattr(analysis, name)), name
-        assert not np.shares_memory(stored, theirs), name
+    """``IndexAnalysis(table, quartile_rule)`` computes every part from its table: one
+    read-only int64 diversity count per country and one ubiquity count per field of
+    its own, the row and column sums of its advantage matrix.
+    A table that is not a ``ProductionTable`` and an unknown quartile rule raise
+    DataError; a computed part can be neither given nor replaced."""
+    table = RESULTS["ProductionTable"]
+    analysis = IndexAnalysis(table)
+    assert _same(analysis, RESULTS["IndexAnalysis"]) and analysis.kind is table.index_kind
+    for name, axis, n in (("diversity", 1, 2), ("ubiquity", 0, 3)):
+        stored = getattr(analysis, name)
+        assert stored.dtype == np.int64 and stored.shape == (n,), name
+        assert not stored.flags.writeable, name
+        assert np.array_equal(stored, analysis.advantage.m.sum(axis)), name
+        assert not np.shares_memory(stored, analysis.advantage.m), name
     with pytest.raises(rcaspace.DataError,
-                       match=r"^IndexAnalysis\.diversity shape \(3,\) does not match 2 countries$"):
-        dataclasses.replace(analysis, diversity=[1, 0, 2])
-    with pytest.raises(rcaspace.DataError,
-                       match=r"^IndexAnalysis\.ubiquity shape \(2,\) does not match 3 fields$"):
-        dataclasses.replace(analysis, ubiquity=[1, 0])
-    with pytest.raises(rcaspace.DataError, match=r"^IndexAnalysis\.diversity must be numbers: "):
-        dataclasses.replace(analysis, diversity=["x", 0])
+                       match=r"^IndexAnalysis\.table must be a ProductionTable$"):
+        IndexAnalysis(table="x")
+    with pytest.raises(rcaspace.DataError, match=r"^unknown quartile rule 'bogus' "):
+        IndexAnalysis(table, "bogus")
+    for f in dataclasses.fields(IndexAnalysis):
+        if not f.init:
+            value = getattr(analysis, f.name)
+            with pytest.raises(ValueError, match=rf"\b{f.name}\b.*init=False"):
+                dataclasses.replace(analysis, **{f.name: value})
+            with pytest.raises(TypeError):
+                IndexAnalysis(table, **{f.name: value})
+    with pytest.raises(TypeError):
+        dataclasses.replace(analysis, kind=rcaspace.IndexKind.CITATIONS)
 
 
 @pytest.mark.parametrize("count", [1.5, -2.7, -1, float("nan"), float("inf"), 2**63],
                          ids=["fractional", "negative-fractional", "negative", "nan", "inf",
                               "too-large"])
 def test_analysis_counts_are_whole_numbers_at_least_zero(count):
-    """A diversity or ubiquity count that no int64 holds exactly is refused, not truncated."""
+    """No caller sets a diversity or ubiquity count, so one that no int64 holds
+    exactly cannot be stored: the counts are computed, whole and >= 0."""
     analysis = RESULTS["IndexAnalysis"]
     for name in ("diversity", "ubiquity"):
         counts = [*getattr(analysis, name).tolist()[1:], count]
-        with pytest.raises(rcaspace.DataError,
-                           match=rf"^IndexAnalysis\.{name} must be whole numbers >= 0$"):
+        with pytest.raises(ValueError, match=rf"\b{name}\b.*init=False"):
             dataclasses.replace(analysis, **{name: counts})
+        with pytest.raises(TypeError):
+            IndexAnalysis(analysis.table, **{name: counts})
+        stored = getattr(analysis, name)
+        assert stored.dtype == np.int64 and (stored >= 0).all(), name
+
+
+small_tables = st.builds(
+    lambda kind, values: rcaspace.ProductionTable(
+        kind, tuple(f"C{i}" for i in range(values.shape[0])),
+        tuple(f"F{j}" for j in range(values.shape[1])), values),
+    st.sampled_from(rcaspace.IndexKind),
+    hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 5)),
+               elements=st.integers(0, 9).map(float)).filter(lambda v: v.sum() > 0))
+
+
+@pytest.mark.filterwarnings("ignore::rcaspace.UndefinedCellWarning")
+@pytest.mark.parametrize("rule", QUARTILE_RULES)
+@settings(max_examples=25, deadline=None)
+@given(table=small_tables, other=small_tables)
+def test_no_public_way_builds_an_analysis_whose_parts_disagree(rule, table, other):
+    """Built by ``analyze_index`` or the constructor, copied, unpickled, or
+    replaced in its table or rule, an analysis holds exactly what its table gives."""
+    first = IndexAnalysis(table, rule)
+    built = [analyze_index(table, rule), first, IndexAnalysis(table=table, quartile_rule=rule),
+             *(how(first) for how in COPIES.values()),
+             dataclasses.replace(IndexAnalysis(other, rule), table=table),
+             dataclasses.replace(IndexAnalysis(table, "nearest" if rule == "linear" else "linear"),
+                                 quartile_rule=rule)]
+    rca = rcaspace.compute_rca(table)
+    summary = rcaspace.summarize(rca.defined_values(), rule)
+    for analysis in built:
+        assert _same(analysis.table, table) and analysis.quartile_rule == rule
+        assert analysis.kind is table.index_kind
+        assert _same(analysis.rca, rca) and _same(analysis.summary, summary)
+        assert _same(analysis.advantage, rcaspace.threshold_advantage(rca))
+        assert analysis.skew_class == classify_skew(summary)
+        for counts, axis in ((analysis.diversity, 1), (analysis.ubiquity, 0)):
+            assert _same(counts, analysis.advantage.m.sum(axis, dtype=np.int64))
+            assert not counts.flags.writeable
 
 
 def _same(a, b) -> bool:
@@ -187,14 +240,15 @@ def _same(a, b) -> bool:
 @pytest.mark.parametrize("path", ["constructor", "owned"])
 @pytest.mark.parametrize("name", sorted(RESULTS))
 def test_results_are_slotted_and_frozen(name, path):
-    """Each result type, built by its public constructor or as the library
-    builds it (``_owned``), holds no attribute dict, refuses assignment, keeps
-    its arrays read-only, and survives pickle, deepcopy and replace."""
+    """Each result type, built by its public constructor (from its ``init`` fields)
+    or as the library builds it (``_owned``), holds no attribute dict, refuses
+    assignment, keeps its arrays read-only, and survives pickle, deepcopy and replace."""
     cls = type(RESULTS[name])
     values = {f.name: getattr(RESULTS[name], f.name) for f in dataclasses.fields(cls)}
     # writeable copies, so that what is read-only was made so by this build
     values = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in values.items()}
-    obj = cls(**values) if path == "constructor" else _owned(cls, *values.values())
+    init = {f.name: values[f.name] for f in dataclasses.fields(cls) if f.init}
+    obj = cls(**init) if path == "constructor" else _owned(cls, *values.values())
     assert not hasattr(obj, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(obj, next(iter(values)), None)
@@ -234,9 +288,9 @@ def _owned_writeable(name: str, **changes):
 @pytest.mark.parametrize("how", sorted(COPIES))
 @pytest.mark.parametrize("name", sorted(RESULTS))
 def test_copies_are_checked_and_read_only(name, how):
-    """pickle, deepcopy and copy rebuild a result through its public constructor:
-    the copy has equal fields and read-only arrays of its own, and a result
-    holding a value its constructor rejects cannot be copied."""
+    """pickle, deepcopy and copy rebuild a result from its ``init`` fields through its
+    public constructor: the copy has equal fields and read-only arrays of its own, and
+    a result holding a value its constructor rejects cannot be copied."""
     obj = _owned_writeable(name)
     twin = COPIES[how](obj)
     assert type(twin) is type(obj) and not hasattr(twin, "__dict__")
@@ -245,9 +299,11 @@ def test_copies_are_checked_and_read_only(name, how):
         arr, theirs = getattr(twin, f.name), getattr(obj, f.name)
         if isinstance(arr, np.ndarray):
             assert not arr.flags.writeable and not np.shares_memory(arr, theirs), f.name
-    fields = [f.name for f in dataclasses.fields(obj)]
-    spoiled = next((k for k in fields if isinstance(getattr(obj, k), np.ndarray)), "n")
-    bad = _owned_writeable(name, **{spoiled: 0 if spoiled == "n" else np.zeros(0)})
+    # an array of the wrong shape, or else 0 as the first field (a summary's n, an analysis's table)
+    init = [f.name for f in dataclasses.fields(obj) if f.init]
+    spoiled = next(({k: np.zeros(0)} for k in init if isinstance(getattr(obj, k), np.ndarray)),
+                   {init[0]: 0})
+    bad = _owned_writeable(name, **spoiled)
     with pytest.raises(rcaspace.DataError):
         COPIES[how](bad)
 

@@ -367,6 +367,23 @@ class TestProductionTableInvariants:
         with pytest.raises(DataError, match="shape"):
             ProductionTable(IndexKind.DOCUMENTS, ("A",), ("X",), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(DataError, match="^production table contains a non-finite value$"):
+            ProductionTable(IndexKind.DOCUMENTS, ("A", "B"), ("X",), np.array([[1.0], [value]]))
+
+    def test_duplicate_field_rejected(self):
+        with pytest.raises(DataError, match="^duplicate field names$"):
+            ProductionTable(IndexKind.DOCUMENTS, ("A",), ("X", "X"), np.zeros((1, 2)))
+
+    def test_equality_with_a_non_table_is_not_implemented(self, make_table):
+        table = make_table([[1.0]])
+        assert table.__eq__("x") is NotImplemented
+        assert table != "x" and table == make_table([[1.0]])
+
+    def test_index_kind_prints_as_its_value(self):
+        assert str(IndexKind.H_INDEX) == "h_index"
+
     def test_values_are_immutable(self, make_table):
         table = make_table([[1.0]])
         with pytest.raises(ValueError):
