@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DataError
 from .ingest import _csv_head, _FloatMemo, frozen, _joined, _owned, _Result, _set
-from .proximity import ProximityNetwork, _row_blocks
+from .proximity import ProximityNetwork, _row_blocks, SMALL_NETWORK_MAX_PAIRS
 
 FORMATS = ("dot", "graphml", "json", "csv", "svg")
 
@@ -80,13 +80,6 @@ class NetworkLayout(_Result):
         strays = {end for a, b, _ in self.edges for end in (a, b)}.difference(self.nodes)
         if strays:
             raise DataError(f"edge end(s) not among the nodes: {sorted(strays)}")
-
-
-#: Networks with at most this many node pairs (14 nodes) list their edges in
-#: pure Python over ``weights.tolist()``, about 0.7 us a pair; larger ones run the
-#: numpy rounds, some 150-230 us per call but far less per pair.  The two cost the
-#: same between about 190 and 330 pairs, so 15 to 20 nodes pay up to 0.1 ms more.
-PYTHON_LISTING_MAX_PAIRS = 100
 
 
 def _union(parent: list[int], a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -195,7 +188,7 @@ def backbone(net: ProximityNetwork, threshold: float = DEFAULT_THRESHOLD) -> lis
     forest is unique.  At threshold 0 every edge is retained.  Edges come back
     as (a, b, weight) with a < b, sorted by name.
 
-    Networks with at most ``PYTHON_LISTING_MAX_PAIRS`` node pairs list their
+    Networks with at most ``SMALL_NETWORK_MAX_PAIRS`` node pairs list their
     edges in pure Python.  Larger ones resolve the names to ranks once and run
     Borůvka's algorithm over the weight matrix, a block of rows at a time,
     without listing every edge.  An edge is live while its ends are in two
@@ -208,7 +201,7 @@ def backbone(net: ProximityNetwork, threshold: float = DEFAULT_THRESHOLD) -> lis
     if not 0.0 <= threshold <= 1.0:
         raise DataError(f"backbone threshold must be in [0, 1], got {threshold}")
     n = len(net.nodes)
-    if n * (n - 1) // 2 <= PYTHON_LISTING_MAX_PAIRS:
+    if n * (n - 1) // 2 <= SMALL_NETWORK_MAX_PAIRS:
         return _backbone_in_python(net.nodes, net.weights, threshold)
     return _backbone_in_numpy(net.nodes, net.weights, threshold)
 

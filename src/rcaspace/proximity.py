@@ -74,21 +74,43 @@ def _node_volumes(values, n: int) -> np.ndarray:
 def co_occurrence(adv: AdvantageMatrix, mode: str = "fields") -> np.ndarray:
     """Symmetric integer co-advantage counts; the diagonal equals Ubi or Div.
 
-    The counts are computed exactly in float64, where BLAS does the product,
-    and cast to int64.  The proximity networks divide that float64 product
-    in place instead, so they hold no int64 copy.
+    The counts are :func:`_product`'s, exact, cast to int64: popcounts of
+    packed advantage words, with no BLAS call, above ``SMALL_NETWORK_MAX_PAIRS``
+    node pairs, else a float64 product.  The proximity networks divide that
+    float64 matrix in place instead, so they hold no int64 copy.
     """
     if mode not in MODES:
         raise DataError(f"unknown proximity mode {mode!r}")
     return _product(adv, mode).astype(np.int64)
 
 
+#: Networks with at most this many node pairs (14 nodes) take the float64
+#: product for their counts, about 10 us, which the popcount kernel's numpy calls
+#: would raise by 5-6 us, and list their backbone edges in pure Python, about
+#: 0.7 us a pair, where the numpy rounds take 150-230 us a call; the listings
+#: cost the same between 190 and 330 pairs.
+SMALL_NETWORK_MAX_PAIRS = 100
+
+
 def _product(adv: AdvantageMatrix, mode: str) -> np.ndarray:
-    """The co-advantage counts as float64, where BLAS computes them: every
-    count is at most the number of countries or fields, far below 2**53, so
-    the float64 sums are exact."""
-    m = adv.m.astype(np.float64)
-    return m.T @ m if mode == "fields" else m @ m.T
+    """The co-advantage counts, exact, as float64: the float64 product for at
+    most ``SMALL_NETWORK_MAX_PAIRS`` pairs, else, a block of rows at a time,
+    the sum over packed uint64 words of the popcounts of each pair's AND, in
+    the smallest unsigned dtype that holds the other axis.  The latter makes
+    no BLAS call, so ``OPENBLAS_NUM_THREADS`` changes neither its time nor its
+    memory, and holds one word's ANDs and popcounts for a block of rows."""
+    m = adv.m.T if mode == "fields" else adv.m  # a row per node
+    n, k = m.shape
+    if n * (n - 1) // 2 <= SMALL_NETWORK_MAX_PAIRS:
+        m = m.astype(np.float64)
+        return m @ m.T
+    octets = np.zeros((n, -(-k // 64) * 8), np.uint8)
+    octets[:, :-(-k // 8)] = np.packbits(m, axis=1)
+    words = octets.view(np.uint64).T.copy()  # a row per word
+    co, zero = np.empty((n, n)), np.zeros(1, np.min_scalar_type(k))
+    for rows in _row_blocks(n):
+        co[rows] = sum((np.bitwise_count(w[rows, None] & w) for w in words), zero)
+    return co
 
 
 #: Cells per block of rows in the n x n stages (128 KiB of float64), so that

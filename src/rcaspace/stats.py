@@ -108,7 +108,7 @@ def summarize(values: Iterable[float], quartile_rule: str = "linear") -> Distrib
     The values are sorted once; the quartiles equal ``np.quantile``'s with
     ``method=quartile_rule``, and the extremes are the sorted ends.
     """
-    if quartile_rule not in QUARTILE_RULES:
+    if not (isinstance(quartile_rule, str) and quartile_rule in QUARTILE_RULES):
         raise DataError(
             f"unknown quartile rule {quartile_rule!r} "
             f"(expected one of: {', '.join(QUARTILE_RULES)})"

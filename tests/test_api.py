@@ -164,6 +164,11 @@ def test_analysis_constructor_stores_read_only_copies():
         IndexAnalysis(table="x")
     with pytest.raises(rcaspace.DataError, match=r"^unknown quartile rule 'bogus' "):
         IndexAnalysis(table, "bogus")
+    for rule in (np.array(["linear", "hazen"]), np.array(["hazen"])):
+        with pytest.raises(rcaspace.DataError, match=r"^unknown quartile rule array\("):
+            IndexAnalysis(table, rule)
+        with pytest.raises(rcaspace.DataError, match=r"^unknown quartile rule array\("):
+            dataclasses.replace(analysis, quartile_rule=rule)
     for f in dataclasses.fields(IndexAnalysis):
         if not f.init:
             value = getattr(analysis, f.name)

@@ -26,8 +26,9 @@ from rcaspace import (
 )
 from rcaspace import cli, netexport, proximity
 from rcaspace.demo import write_demo_dataset
-from rcaspace.netexport import FORMATS, PYTHON_LISTING_MAX_PAIRS
-from rcaspace.proximity import MODES, proximity_csv_chunks, proximity_csv_text
+from rcaspace.netexport import FORMATS
+from rcaspace.proximity import (MODES, proximity_csv_chunks, proximity_csv_text,
+                                SMALL_NETWORK_MAX_PAIRS)
 
 from .oracles import reference_backbone
 
@@ -157,7 +158,7 @@ class TestBackbone:
 
 
 #: The largest node count whose edges are listed in pure Python.
-_SMALL_N = max(n for n in range(64) if n * (n - 1) // 2 <= PYTHON_LISTING_MAX_PAIRS)
+_SMALL_N = max(n for n in range(64) if n * (n - 1) // 2 <= SMALL_NETWORK_MAX_PAIRS)
 
 
 @st.composite
@@ -473,7 +474,7 @@ def _traced_peak(fn, *args):
 
 
 #: Peak memory of the n^2 stages, in weight matrices of the network, at 400
-#: nodes: measured 1.24 for ``country_proximity`` and 0.47-0.52 for
+#: nodes: measured 1.22 for ``country_proximity`` and 0.47-0.52 for
 #: ``backbone``, which lists no pair beyond its pool and its kept edges; set
 #: when both measured about 2.24.
 N_SQUARED_PEAK_BOUND = 2.6
@@ -488,13 +489,13 @@ def test_n_squared_stages_peak_memory(shuffled):
 
 
 #: Peak memory of each n^2 stage at 400 nodes, in weight matrices: measured
-#: 1.24 for ``country_proximity`` (the weights it returns and a float64 copy
-#: of the advantage matrix), 0.47-0.52 for ``backbone`` (one row block gathered
-#: by name rank with its masks, the pool of a round's heaviest pairs, and the
-#: edges at or above the threshold 0.4) and 0.10 for
-#: streaming the proximity CSV, which must stay under half a matrix.  Another
-#: n^2 array, or a stage's block grown to a third of a matrix, exceeds the
-#: bound.
+#: 1.22 for ``country_proximity`` (the weights it returns, and one word's ANDs
+#: and popcounts for a block of rows with their sum), 0.47-0.52 for
+#: ``backbone`` (one row block gathered by name rank with its masks, the pool
+#: of a round's heaviest pairs, and the edges at or above the threshold 0.4)
+#: and 0.10 for streaming the proximity CSV, which must stay under half a
+#: matrix.  Another n^2 array, or a stage's block grown to a third of a
+#: matrix, exceeds the bound.
 ONE_MATRIX_STAGE_BOUND = 1.5
 
 

@@ -10,7 +10,8 @@ from rcaspace import (
     country_proximity,
     field_proximity,
 )
-from rcaspace.proximity import ProximityNetwork, proximity_csv_text
+from rcaspace import proximity
+from rcaspace.proximity import MODES, ProximityNetwork, proximity_csv_text, SMALL_NETWORK_MAX_PAIRS
 
 from .oracles import conditional_proximity_countries, conditional_proximity_fields
 
@@ -54,6 +55,39 @@ class TestCoOccurrence:
     def test_unknown_mode(self):
         with pytest.raises(DataError, match="unknown proximity mode"):
             co_occurrence(adv_from([[1]]), "widgets")
+
+
+class TestCountKernel:
+    """Above ``SMALL_NETWORK_MAX_PAIRS`` the counts are popcounts of packed
+    advantage words; every count, and so every weight, equals bit for bit
+    the float64 product kept here, on both sides of the rule."""
+
+    @pytest.mark.parametrize("other", [63, 64, 65, 255, 256, 300])  # word edges, uint8 -> uint16
+    @pytest.mark.parametrize("nodes", [14, 15, 150],
+                             ids=["14-product", "15-kernel", "150-partial-block"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_counts_and_weights_equal_a_float64_product(self, monkeypatch, mode, nodes, other):
+        rng = np.random.default_rng(1000 * nodes + other)
+        m = rng.random((nodes, other)) < 0.5  # a row per node
+        m[0] = True  # a count of ``other``, beyond a uint8 from 256
+        m[1] = False  # an isolated node
+        m[2, -1] = True  # the last bit of the last word
+        adv = adv_from(m if mode == "countries" else m.T)
+        if nodes == 150:  # 109 rows a block
+            assert nodes % (proximity._BLOCK_CELLS // nodes)
+        popcounts = []
+        count = np.bitwise_count
+        monkeypatch.setattr(np, "bitwise_count", lambda x: popcounts.append(x) or count(x))
+
+        f = m.astype(np.float64)
+        co = f @ f.T
+        totals = np.maximum(co.diagonal(), 1.0)
+        weights = co / np.maximum.outer(totals, totals)
+        assert np.array_equal(proximity._product(adv, mode).view(np.int64), co.view(np.int64))
+        assert np.array_equal(co_occurrence(adv, mode), co.astype(np.int64))
+        net = (field_proximity if mode == "fields" else country_proximity)(adv)
+        assert np.array_equal(net.weights.view(np.int64), weights.view(np.int64))
+        assert bool(popcounts) == (nodes * (nodes - 1) // 2 > SMALL_NETWORK_MAX_PAIRS)
 
 
 class TestFieldProximity:

@@ -106,6 +106,15 @@ class TestSummarize:
         with pytest.raises(DataError, match="unknown quartile rule"):
             summarize(np.array([1.0]), quartile_rule="mystery")
 
+    @pytest.mark.parametrize("rule", [np.array(["linear", "hazen"]), np.array(["hazen"]),
+                                      np.array("hazen", dtype=object), ("linear",), None, 3],
+                             ids=["array-of-two", "array-of-one", "object-scalar", "tuple",
+                                  "none", "int"])
+    def test_rule_that_is_not_a_string_rejected(self, rule):
+        # an array is compared element-wise, or is unhashable, by ``in``
+        with pytest.raises(DataError, match="^unknown quartile rule"):
+            summarize(np.array([1.0]), quartile_rule=rule)
+
     def test_as_dict_fields(self):
         s = summarize(np.array([1.0, 2.0, 9.0]))
         d = s.as_dict()
